@@ -22,7 +22,10 @@ use fpx_nvbit::tool::{Inserter, LaunchCtx, NvbitTool};
 use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::RZ;
-use fpx_sass::types::{ExceptionKind, FpFormat};
+use fpx_sass::types::{
+    row_class_masks_f32, row_class_masks_f64, row_exceptional_f32, row_exceptional_f64,
+    ExceptionKind, FpFormat,
+};
 use fpx_sim::exec::lanes_of;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, When};
 use gpu_fpx::checks;
@@ -67,50 +70,38 @@ impl DeviceFn for RecordFn {
     fn call(&self, ctx: &mut InjectionCtx<'_, '_>) {
         let mut rec = [0u8; 4 + KEPT_LANES * 8];
         rec[0..2].copy_from_slice(&self.loc.to_le_bytes());
+        let g = ctx.guarded_mask;
+        // One row scan finds the lanes the host check would flag (NaN/INF
+        // for a reciprocal, NaN/INF/subnormal otherwise); only those lanes'
+        // values are kept, the first KEPT_LANES in lane order.
+        let (lo, hi, wide, rcp) = match self.kind {
+            RecKind::F32 { rd, rcp } => (rd, None, false, rcp),
+            RecKind::F64 { lo, rcp } => (lo, Some(lo + 1), true, rcp),
+        };
+        let lo_row = ctx.lanes.reg_row(lo);
+        let hi_row = hi.map(|h| ctx.lanes.reg_row(h));
+        let flagged = match (hi_row, rcp) {
+            (None, false) => row_exceptional_f32(lo_row, g),
+            (Some(h), false) => row_exceptional_f64(lo_row, h, g),
+            (None, true) => {
+                let m = row_class_masks_f32(lo_row, g);
+                m.nan | m.inf
+            }
+            (Some(h), true) => {
+                let m = row_class_masks_f64(lo_row, h, g);
+                m.nan | m.inf
+            }
+        };
+        rec[2] = if wide { FLAG_F64 } else { 0 } | if rcp { FLAG_RCP } else { 0 };
+        let wire_bytes = if wide { 4 + 32 * 8 } else { 4 + 32 * 4 };
         let mut kept = 0usize;
-        let wire_bytes;
-        match self.kind {
-            RecKind::F32 { rd, rcp } => {
-                rec[2] = if rcp { FLAG_RCP } else { 0 };
-                wire_bytes = 4 + 32 * 4;
-                for lane in lanes_of(ctx.guarded_mask) {
-                    if kept == KEPT_LANES {
-                        break;
-                    }
-                    let bits = ctx.lanes.reg(lane, rd);
-                    let exceptional = if rcp {
-                        checks::check_32_div0(bits).is_some()
-                    } else {
-                        checks::check_32_nan_inf_sub(bits).is_some()
-                    };
-                    if exceptional {
-                        let at = 4 + kept * 8;
-                        rec[at..at + 4].copy_from_slice(&bits.to_le_bytes());
-                        kept += 1;
-                    }
-                }
+        for lane in lanes_of(flagged).take(KEPT_LANES) {
+            let at = 4 + kept * 8;
+            rec[at..at + 4].copy_from_slice(&lo_row[lane as usize].to_le_bytes());
+            if let Some(h) = hi_row {
+                rec[at + 4..at + 8].copy_from_slice(&h[lane as usize].to_le_bytes());
             }
-            RecKind::F64 { lo, rcp } => {
-                rec[2] = FLAG_F64 | if rcp { FLAG_RCP } else { 0 };
-                wire_bytes = 4 + 32 * 8;
-                for lane in lanes_of(ctx.guarded_mask) {
-                    if kept == KEPT_LANES {
-                        break;
-                    }
-                    let (l, h) = (ctx.lanes.reg(lane, lo), ctx.lanes.reg(lane, lo + 1));
-                    let exceptional = if rcp {
-                        checks::check_64_div0(l, h).is_some()
-                    } else {
-                        checks::check_64_nan_inf_sub(l, h).is_some()
-                    };
-                    if exceptional {
-                        let at = 4 + kept * 8;
-                        rec[at..at + 4].copy_from_slice(&l.to_le_bytes());
-                        rec[at + 4..at + 8].copy_from_slice(&h.to_le_bytes());
-                        kept += 1;
-                    }
-                }
-            }
+            kept += 1;
         }
         rec[3] = kept as u8;
         // One bulk record per warp per FP instruction, deterministic per

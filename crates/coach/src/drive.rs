@@ -293,7 +293,7 @@ mod tests {
         // The paper's case study: the rcp of a zero norm at line 113
         // births the INF/NaN chain in gramschmidt_kernel2.
         let birth = &run.report.timelines[0].birth();
-        assert_eq!(birth.kernel, "gramschmidt_kernel2");
+        assert_eq!(&*birth.kernel, "gramschmidt_kernel2");
         assert!(
             birth.where_str.contains("gramschmidt.cu") && birth.where_str.contains(":113"),
             "{birth:?}"
@@ -326,7 +326,7 @@ mod tests {
             .capture(CaptureTarget::for_event(ev))
             .unwrap()
             .expect("target fires on re-execution");
-        assert_eq!(dump.kernel, ev.kernel);
+        assert_eq!(dump.kernel.as_str(), &*ev.kernel);
         assert_eq!(dump.block, ev.block);
         assert_eq!(dump.warp, ev.warp);
         // The dump's destination register holds the born class on the

@@ -101,7 +101,7 @@ pub fn coach_suggestions(
                     birth.sass.trim(),
                     birth.class
                 ),
-                where_str: birth.where_str.clone(),
+                where_str: birth.where_str.to_string(),
                 repro: repro_line(program, t, 0),
             });
         }
@@ -127,7 +127,7 @@ pub fn coach_suggestions(
                         birth.where_str,
                         ev.sass.trim()
                     ),
-                    where_str: ev.where_str.clone(),
+                    where_str: ev.where_str.to_string(),
                     repro: repro_line(program, t, step),
                 });
             }
@@ -148,7 +148,7 @@ pub fn coach_suggestions(
                         birth.where_str,
                         ev.sass.trim()
                     ),
-                    where_str: ev.where_str.clone(),
+                    where_str: ev.where_str.to_string(),
                     repro: repro_line(program, t, step),
                 });
             }
@@ -171,7 +171,7 @@ pub fn coach_suggestions(
                      numbers downstream.",
                     birth.where_str
                 ),
-                where_str: birth.where_str.clone(),
+                where_str: birth.where_str.to_string(),
                 repro: repro_line(program, t, last),
             });
         }
@@ -189,7 +189,7 @@ pub fn coach_suggestions(
                 t.events
                     .iter()
                     .enumerate()
-                    .find(|(_, e)| e.where_str == f.where_str)
+                    .find(|(_, e)| *e.where_str == *f.where_str)
                     .map(|(step, _)| (t, step))
             });
             let (title, repro) = match hit {

@@ -15,6 +15,7 @@
 use gpu_fpx::analyzer::{KillReason, RegClass};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// What happened to the tracked value at one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +65,11 @@ pub struct TimelineEvent {
     pub launch: u16,
     /// `LocationTable` site id.
     pub loc: u16,
-    pub kernel: String,
-    pub sass: String,
-    pub where_str: String,
+    /// Site strings, shared by every event at the site (one allocation
+    /// per site, not three per event).
+    pub kernel: Arc<str>,
+    pub sass: Arc<str>,
+    pub where_str: Arc<str>,
     pub block: u16,
     pub warp: u8,
     /// Lane carrying the value (SIMT policy: first exceptional lane).

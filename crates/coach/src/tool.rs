@@ -39,8 +39,8 @@ use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::{Operand, RZ};
 use fpx_sass::types::{
-    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_class_masks_f16,
-    row_class_masks_f32, row_class_masks_f64, ClassMasks, FpClass, FpFormat,
+    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_exceptional_f16,
+    row_exceptional_f32, row_exceptional_f64, FpClass, FpFormat,
 };
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, Phase, When};
 use gpu_fpx::analyzer::{KillReason, RegClass};
@@ -95,20 +95,15 @@ fn reg_class(c: FpClass) -> RegClass {
 }
 
 impl CoachSlot {
-    fn row_masks(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> ClassMasks {
+    /// Lanes (within `active`) holding an exceptional value: one
+    /// branchless row pass per register.
+    fn row_exceptional(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> u32 {
+        let row = |r: u8| ctx.lanes.reg_row(r);
         match self.fmt {
-            CoachFmt::F32 => row_class_masks_f32(ctx.lanes.reg_row(self.reg), active),
-            CoachFmt::F64Pair => row_class_masks_f64(
-                ctx.lanes.reg_row(self.reg),
-                ctx.lanes.reg_row(self.reg + 1),
-                active,
-            ),
-            CoachFmt::F64Hi => row_class_masks_f64(
-                ctx.lanes.reg_row(self.reg - 1),
-                ctx.lanes.reg_row(self.reg),
-                active,
-            ),
-            CoachFmt::F16 => row_class_masks_f16(ctx.lanes.reg_row(self.reg), active),
+            CoachFmt::F32 => row_exceptional_f32(row(self.reg), active),
+            CoachFmt::F64Pair => row_exceptional_f64(row(self.reg), row(self.reg + 1), active),
+            CoachFmt::F64Hi => row_exceptional_f64(row(self.reg - 1), row(self.reg), active),
+            CoachFmt::F16 => row_exceptional_f16(row(self.reg), active),
         }
     }
 
@@ -218,14 +213,74 @@ struct LiveSlot {
 /// Per-block coach state; each hook only touches its own block's entry.
 #[derive(Debug, Default)]
 struct BlockCoach {
-    /// ⟨warp, register⟩ → live lineage slot.
-    live: HashMap<(u32, u8), LiveSlot>,
+    /// `live[warp][reg]` → live lineage slot: one dense row per warp,
+    /// grown to the highest register that ever held a slot.
+    live: Vec<Vec<Option<LiveSlot>>>,
     /// ⟨warp, site⟩ → events emitted so far (the rewind hit ordinal).
-    hits: HashMap<(u32, u16), u32>,
+    hits: FastMap<(u32, u16), u32>,
+}
+
+/// Multiplicative hasher for the lineage maps' small integer keys, which
+/// the simulator itself generates — SipHash's flood resistance buys
+/// nothing here and costs a few dozen cycles per record.
+#[derive(Default, Clone, Copy)]
+struct FastHasher(u64);
+
+impl std::hash::Hasher for FastHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
+
+impl BlockCoach {
+    fn live(&self, warp: u32, reg: u8) -> Option<LiveSlot> {
+        *self.live.get(warp as usize)?.get(reg as usize)?
+    }
+
+    fn set_live(&mut self, warp: u32, reg: u8, slot: Option<LiveSlot>) {
+        let (w, r) = (warp as usize, reg as usize);
+        if slot.is_none() && self.live(warp, reg).is_none() {
+            return;
+        }
+        if self.live.len() <= w {
+            self.live.resize_with(w + 1, Vec::new);
+        }
+        let row = &mut self.live[w];
+        if row.len() <= r {
+            row.resize(r + 1, None);
+        }
+        row[r] = slot;
+    }
 }
 
 struct CoachShared {
-    state: Mutex<HashMap<u32, BlockCoach>>,
+    /// Indexed by block id: each hook only touches its own block's
+    /// entry, so the state evolution is schedule-independent.
+    state: Mutex<Vec<BlockCoach>>,
     capture: Option<CaptureTarget>,
     dump: Mutex<Option<StateDump>>,
     /// Device-side records emitted (the `coach_events` counter).
@@ -345,17 +400,20 @@ fn build_dump(
             regs.push(dump_slot(s, false));
         }
     }
-    let mut live: Vec<LiveLine> = bs
+    let live: Vec<LiveLine> = bs
         .live
-        .iter()
-        .filter(|((w, _), _)| *w == ctx.warp)
-        .map(|((_, r), sl)| LiveLine {
-            reg: *r,
-            lane: sl.lane,
-            class: sl.class,
+        .get(ctx.warp as usize)
+        .into_iter()
+        .flatten()
+        .enumerate()
+        .filter_map(|(r, sl)| {
+            sl.map(|sl| LiveLine {
+                reg: r as u8,
+                lane: sl.lane,
+                class: sl.class,
+            })
         })
         .collect();
-    live.sort_by_key(|l| l.reg);
     StateDump {
         kernel: ctx.kernel_name.to_string(),
         pc: ctx.pc,
@@ -387,7 +445,11 @@ impl DeviceFn for CoachFn {
         let mut recs: Vec<[u8; REC_LEN]> = Vec::new();
         {
             let mut st = self.shared.state.lock();
-            let bs = st.entry(ctx.block).or_default();
+            let b = ctx.block as usize;
+            if st.len() <= b {
+                st.resize_with(b + 1, BlockCoach::default);
+            }
+            let bs = &mut st[b];
             let off = ctx.exec_mask & !ctx.guarded_mask;
 
             // Step 1: source-side kills. A live slot whose bits no longer
@@ -398,7 +460,7 @@ impl DeviceFn for CoachFn {
             // instruction itself just rewrote the register.
             for s in &spec.srcs {
                 let is_dest = spec.dest.is_some_and(|d| d.reg == s.reg);
-                let Some(slot) = bs.live.get(&(ctx.warp, s.reg)).copied() else {
+                let Some(slot) = bs.live(ctx.warp, s.reg) else {
                     continue;
                 };
                 if !is_dest && s.read_bits(ctx, slot.lane as u32) != slot.real {
@@ -414,7 +476,7 @@ impl DeviceFn for CoachFn {
                         None,
                         launch,
                     ));
-                    bs.live.remove(&(ctx.warp, s.reg));
+                    bs.set_live(ctx.warp, s.reg, None);
                 } else if off & (1u32 << slot.lane) != 0 {
                     recs.push(encode_rec(
                         KIND_KILL,
@@ -428,13 +490,13 @@ impl DeviceFn for CoachFn {
                         None,
                         launch,
                     ));
-                    bs.live.remove(&(ctx.warp, s.reg));
+                    bs.set_live(ctx.warp, s.reg, None);
                 }
             }
 
             // Step 2: destination write.
             if let Some(d) = spec.dest {
-                let exc = d.row_masks(ctx, ctx.guarded_mask).exceptional();
+                let exc = d.row_exceptional(ctx, ctx.guarded_mask);
                 if exc != 0 {
                     let lane = exc.trailing_zeros();
                     let class = d.classify(ctx, lane);
@@ -445,8 +507,8 @@ impl DeviceFn for CoachFn {
                         .srcs
                         .iter()
                         .map(|s| s.reg)
-                        .find(|r| bs.live.contains_key(&(ctx.warp, *r)));
-                    if let Some(old) = bs.live.get(&(ctx.warp, d.reg)).copied() {
+                        .find(|r| bs.live(ctx.warp, *r).is_some());
+                    if let Some(old) = bs.live(ctx.warp, d.reg) {
                         // A new lineage replaced the old occupant of this
                         // register (even if the old carrying lane was
                         // predicated off: single slot per register).
@@ -483,15 +545,13 @@ impl DeviceFn for CoachFn {
                             None, launch,
                         )),
                     }
-                    bs.live.insert(
-                        (ctx.warp, d.reg),
-                        LiveSlot {
-                            lane: lane as u8,
-                            class,
-                            real: d.read_bits(ctx, lane),
-                        },
-                    );
-                } else if let Some(old) = bs.live.get(&(ctx.warp, d.reg)).copied() {
+                    let slot = LiveSlot {
+                        lane: lane as u8,
+                        class,
+                        real: d.read_bits(ctx, lane),
+                    };
+                    bs.set_live(ctx.warp, d.reg, Some(slot));
+                } else if let Some(old) = bs.live(ctx.warp, d.reg) {
                     if ctx.guarded_mask & (1u32 << old.lane) != 0 {
                         // Clean writeback over a live lineage on an
                         // executing lane: attribute the kill to the
@@ -516,7 +576,7 @@ impl DeviceFn for CoachFn {
                             None,
                             launch,
                         ));
-                        bs.live.remove(&(ctx.warp, d.reg));
+                        bs.set_live(ctx.warp, d.reg, None);
                     }
                     // Carrying lane not written (predicated off at the
                     // dest): the value survives in the register.
@@ -558,6 +618,9 @@ impl DeviceFn for CoachFn {
     }
 }
 
+/// A site's (kernel, sass, where) strings, shared by all its events.
+type SiteStrings = (Arc<str>, Arc<str>, Arc<str>);
+
 /// The exception-flow coach, as an NVBit tool.
 pub struct Coach {
     cfg: CoachConfig,
@@ -565,25 +628,25 @@ pub struct Coach {
     locs: Arc<Mutex<LocationTable>>,
     report: CoachReport,
     /// ⟨launch, block, warp, register⟩ → timeline currently carried there.
-    live_tl: HashMap<(u16, u16, u8, u8), usize>,
+    live_tl: FastMap<(u16, u16, u8, u8), usize>,
     /// Live-register reference count per timeline (a propagation into a
     /// second register keeps the source's reference).
     refs: Vec<u32>,
     /// ⟨launch, block, warp, site⟩ → events seen, in drain order.
-    hit_ord: HashMap<(u16, u16, u8, u16), u32>,
+    hit_ord: FastMap<(u16, u16, u8, u16), u32>,
     /// Global occurrence counter, in drain order.
     occ: u64,
     /// Events stored into timelines (the `max_events` basis).
     appended: usize,
     /// Memoized (kernel, sass, where) strings per site.
-    site_memo: HashMap<u16, (String, String, String)>,
+    site_memo: FastMap<u16, SiteStrings>,
 }
 
 impl Coach {
     pub fn new(cfg: CoachConfig) -> Self {
         Coach {
             shared: Arc::new(CoachShared {
-                state: Mutex::new(HashMap::new()),
+                state: Mutex::new(Vec::new()),
                 capture: cfg.capture,
                 dump: Mutex::new(None),
                 emitted: AtomicU64::new(0),
@@ -591,12 +654,12 @@ impl Coach {
             cfg,
             locs: Arc::new(Mutex::new(LocationTable::new())),
             report: CoachReport::default(),
-            live_tl: HashMap::new(),
+            live_tl: FastMap::default(),
             refs: Vec::new(),
-            hit_ord: HashMap::new(),
+            hit_ord: FastMap::default(),
             occ: 0,
             appended: 0,
-            site_memo: HashMap::new(),
+            site_memo: FastMap::default(),
         }
     }
 
@@ -628,13 +691,17 @@ impl Coach {
         obs.add(Counter::CoachKills, self.report.kills() as u64);
     }
 
-    fn site(&mut self, loc: u16) -> (String, String, String) {
+    fn site(&mut self, loc: u16) -> SiteStrings {
         let locs = &self.locs;
         self.site_memo
             .entry(loc)
             .or_insert_with(|| match locs.lock().resolve(loc) {
-                Some(site) => (site.kernel.clone(), site.sass.clone(), site.where_str()),
-                None => ("unknown".into(), String::new(), String::new()),
+                Some(site) => (
+                    site.kernel.as_str().into(),
+                    site.sass.as_str().into(),
+                    site.where_str().into(),
+                ),
+                None => ("unknown".into(), "".into(), "".into()),
             })
             .clone()
     }

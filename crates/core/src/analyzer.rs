@@ -25,8 +25,8 @@ use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::{Operand, RZ};
 use fpx_sass::types::{
-    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_class_masks_f16,
-    row_class_masks_f32, row_class_masks_f64, ClassMasks, FpClass, FpFormat,
+    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_exceptional_f16,
+    row_exceptional_f32, row_exceptional_f64, FpClass, FpFormat,
 };
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, When};
 use parking_lot::Mutex;
@@ -174,7 +174,7 @@ impl std::fmt::Display for RegClass {
 }
 
 /// How one register slot is read by the injected analyzer code.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotFmt {
     F32,
     /// FP64 pair `(r, r+1)`.
@@ -185,29 +185,23 @@ enum SlotFmt {
     F16,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RegSlot {
     reg: u8,
     fmt: SlotFmt,
 }
 
 impl RegSlot {
-    /// Branchless whole-warp classification of this slot: one SoA row
-    /// scan per register instead of 32 strided per-lane reads.
-    fn row_masks(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> ClassMasks {
+    /// Lanes (within `active`) where this slot holds an exceptional
+    /// value: one branchless SoA row pass per register instead of 32
+    /// strided per-lane reads.
+    fn row_exceptional(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> u32 {
+        let row = |r: u8| ctx.lanes.reg_row(r);
         match self.fmt {
-            SlotFmt::F32 => row_class_masks_f32(ctx.lanes.reg_row(self.reg), active),
-            SlotFmt::F64Pair => row_class_masks_f64(
-                ctx.lanes.reg_row(self.reg),
-                ctx.lanes.reg_row(self.reg + 1),
-                active,
-            ),
-            SlotFmt::F64Hi => row_class_masks_f64(
-                ctx.lanes.reg_row(self.reg - 1),
-                ctx.lanes.reg_row(self.reg),
-                active,
-            ),
-            SlotFmt::F16 => row_class_masks_f16(ctx.lanes.reg_row(self.reg), active),
+            SlotFmt::F32 => row_exceptional_f32(row(self.reg), active),
+            SlotFmt::F64Pair => row_exceptional_f64(row(self.reg), row(self.reg + 1), active),
+            SlotFmt::F64Hi => row_exceptional_f64(row(self.reg - 1), row(self.reg), active),
+            SlotFmt::F16 => row_exceptional_f16(row(self.reg), active),
         }
     }
 
@@ -361,6 +355,8 @@ struct AnalyzeFn {
     flags: u8,
     loc: u16,
     slots: Vec<RegSlot>,
+    /// `slots` without repeats (`FADD R1, R0, R0` scans `R0` once).
+    scan: Vec<RegSlot>,
     /// Runtime cbank values read (cost accounting only; constants cannot
     /// become exceptional between launches, their classes are compile-time
     /// facts folded into `compile_e_type`).
@@ -375,8 +371,8 @@ impl DeviceFn for AnalyzeFn {
         // branchless whole-warp row pass per slot — the common all-normal
         // case costs a few mask ORs and no allocation.
         let mut excn = 0u32;
-        for s in &self.slots {
-            excn |= s.row_masks(ctx, ctx.guarded_mask).exceptional();
+        for s in &self.scan {
+            excn |= s.row_exceptional(ctx, ctx.guarded_mask);
         }
         let mut flags = self.flags;
         if excn == 0 {
@@ -390,8 +386,8 @@ impl DeviceFn for AnalyzeFn {
             if off == 0 {
                 return;
             }
-            for s in &self.slots {
-                excn |= s.row_masks(ctx, off).exceptional();
+            for s in &self.scan {
+                excn |= s.row_exceptional(ctx, off);
             }
             if excn == 0 {
                 return;
@@ -759,6 +755,13 @@ impl NvbitTool for Analyzer {
         if instr.opcode.mods.ftz {
             flags |= FLAG_FTZ;
         }
+        let mut scan = slots.clone();
+        let mut seen = Vec::new();
+        scan.retain(|s| {
+            let fresh = !seen.contains(s);
+            seen.push(*s);
+            fresh
+        });
         // §3.2.1: shared destination/source registers force an additional
         // check *prior* to execution.
         if shared {
@@ -769,6 +772,7 @@ impl NvbitTool for Analyzer {
                     flags,
                     loc,
                     slots: slots.clone(),
+                    scan: scan.clone(),
                     num_cbank,
                 }),
             );
@@ -780,6 +784,7 @@ impl NvbitTool for Analyzer {
                 flags,
                 loc,
                 slots,
+                scan,
                 num_cbank,
             }),
         );

@@ -20,7 +20,8 @@ use fpx_nvbit::tool::{Inserter, LaunchCtx, NvbitTool, ToolCtx};
 use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::types::{
-    row_class_masks_f16, row_class_masks_f32, row_class_masks_f64, ExceptionKind, FpFormat,
+    row_class_masks_f16, row_class_masks_f32, row_class_masks_f64, row_exceptional_f16,
+    row_exceptional_f32, row_exceptional_f64, ExceptionKind, FpFormat,
 };
 use fpx_sim::exec::lanes_of;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, When};
@@ -142,31 +143,34 @@ impl DeviceFn for CheckFn {
             return;
         }
         // Whole-warp checking ("exn_type[T] = e" in Algorithm 2), done as
-        // one branchless SoA row scan per operand: the register file is
-        // register-major, so all 32 lanes' bits stream through straight-
-        // line exponent/mantissa tests (SNIPPETS Snippet 1 style) instead
-        // of 32 strided, branchy per-lane calls. The guard mask clears
-        // lanes that didn't execute the instruction.
-        let masks = match self.check {
-            CheckKind::NanInfSub32 { rd } => {
-                row_class_masks_f32(ctx.lanes.reg_row(rd), ctx.guarded_mask)
-            }
-            CheckKind::NanInfSub64 { lo } => row_class_masks_f64(
-                ctx.lanes.reg_row(lo),
-                ctx.lanes.reg_row(lo + 1),
-                ctx.guarded_mask,
-            ),
-            CheckKind::Div032 { rd } => {
-                row_class_masks_f32(ctx.lanes.reg_row(rd), ctx.guarded_mask)
-            }
-            CheckKind::Div064 { hi } => row_class_masks_f64(
-                ctx.lanes.reg_row(hi - 1),
-                ctx.lanes.reg_row(hi),
-                ctx.guarded_mask,
-            ),
-            CheckKind::NanInfSub16 { rd } => {
-                row_class_masks_f16(ctx.lanes.reg_row(rd), ctx.guarded_mask)
-            }
+        // branchless SoA row scans: the register file is register-major,
+        // so all 32 lanes' bits stream through straight-line exponent/
+        // mantissa tests (SNIPPETS Snippet 1 style) instead of 32 strided,
+        // branchy per-lane calls. One compare pass finds whether any
+        // guarded lane is exceptional at all — the common clean case
+        // stops there; only then are the per-class masks computed. The
+        // guard mask clears lanes that didn't execute the instruction.
+        let g = ctx.guarded_mask;
+        let (lo, hi) = match self.check {
+            CheckKind::NanInfSub64 { lo } => (lo, Some(lo + 1)),
+            CheckKind::Div064 { hi } => (hi - 1, Some(hi)),
+            CheckKind::NanInfSub32 { rd }
+            | CheckKind::Div032 { rd }
+            | CheckKind::NanInfSub16 { rd } => (rd, None),
+        };
+        let row = ctx.lanes.reg_row(lo);
+        let exceptional = match (self.check, hi) {
+            (CheckKind::NanInfSub16 { .. }, _) => row_exceptional_f16(row, g),
+            (_, Some(hi)) => row_exceptional_f64(row, ctx.lanes.reg_row(hi), g),
+            (_, None) => row_exceptional_f32(row, g),
+        };
+        if exceptional == 0 {
+            return;
+        }
+        let masks = match (self.check, hi) {
+            (CheckKind::NanInfSub16 { .. }, _) => row_class_masks_f16(row, g),
+            (_, Some(hi)) => row_class_masks_f64(row, ctx.lanes.reg_row(hi), g),
+            (_, None) => row_class_masks_f32(row, g),
         };
         // Lane masks per exception kind, indexed by `encode()`. DIV0
         // checks reinterpret a NaN/INF reciprocal destination (Algorithm 1

@@ -33,11 +33,11 @@
 //! BinFPE's multi-million-record floods do not allocate per record;
 //! oversize payloads spill to the heap instead of being truncated.
 
-use crossbeam::queue::SegQueue;
 use fpx_obs::{Hist, Obs, Regime};
 use fpx_prof::{Phase as ProfPhase, Prof};
 use fpx_sim::hooks::{HostChannel, PushOrigin, StagedBatch};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Maximum record size stored *inline*. Detector records are 4 bytes,
 /// analyzer events ≤ 8 + one byte per register, and BinFPE's bulk 32-lane
@@ -47,16 +47,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const MAX_RECORD: usize = 56;
 
 /// Queue shards, keyed by block id, so concurrent SM workers rarely
-/// contend on the same queue.
+/// contend on the same queue. A shard is a plain locked `Vec`: a
+/// coalesced batch enters under one lock, and a drain takes each shard's
+/// buffer whole.
 const N_SHARDS: usize = 16;
 
 /// One channel record: payload inline up to [`MAX_RECORD`] bytes, spilled
 /// to the heap beyond that so nothing is silently truncated.
 #[derive(Debug, Clone)]
-pub struct Record {
-    buf: [u8; MAX_RECORD],
-    len: u8,
-    spill: Option<Box<[u8]>>,
+pub struct Record(Payload);
+
+/// Inline and spilled payloads share one 64-byte slot (the inline form
+/// is the common case: every record a flood can produce fits).
+#[derive(Debug, Clone)]
+enum Payload {
+    Inline { len: u8, buf: [u8; MAX_RECORD] },
+    Spill(Box<[u8]>),
 }
 
 impl Record {
@@ -64,32 +70,24 @@ impl Record {
         if bytes.len() <= MAX_RECORD {
             let mut buf = [0u8; MAX_RECORD];
             buf[..bytes.len()].copy_from_slice(bytes);
-            Record {
-                buf,
+            Record(Payload::Inline {
                 len: bytes.len() as u8,
-                spill: None,
-            }
+                buf,
+            })
         } else {
-            Record {
-                buf: [0u8; MAX_RECORD],
-                len: 0,
-                spill: Some(bytes.into()),
-            }
+            Record(Payload::Spill(bytes.into()))
         }
     }
 
     /// The record payload.
     pub fn bytes(&self) -> &[u8] {
-        match &self.spill {
-            Some(s) => s,
-            None => &self.buf[..self.len as usize],
+        match &self.0 {
+            Payload::Inline { len, buf } => &buf[..*len as usize],
+            Payload::Spill(s) => s,
         }
     }
 
-    /// Payload length in bytes. Spilled records keep the inline `len`
-    /// field at 0 (a spill is always longer than [`MAX_RECORD`], which a
-    /// `u8` could not hold), so the *only* correct length is the payload's
-    /// own — never read the private field directly.
+    /// Payload length in bytes.
     pub fn len(&self) -> usize {
         self.bytes().len()
     }
@@ -102,7 +100,7 @@ impl Record {
     /// Whether the payload lives in a heap spill (it exceeded
     /// [`MAX_RECORD`] bytes) rather than the inline buffer.
     pub fn spilled(&self) -> bool {
-        self.spill.is_some()
+        matches!(self.0, Payload::Spill(_))
     }
 }
 
@@ -141,7 +139,7 @@ impl Default for ChannelConfig {
 /// A device→host record channel, shared by all SM workers of a launch.
 pub struct Channel {
     cfg: ChannelConfig,
-    shards: Vec<SegQueue<(PushOrigin, Record)>>,
+    shards: Vec<Mutex<Vec<(PushOrigin, Record)>>>,
     /// Records pushed since the last drain.
     in_flight: AtomicU64,
     /// Total records ever pushed.
@@ -161,7 +159,7 @@ impl Channel {
     pub fn new(cfg: ChannelConfig) -> Self {
         Channel {
             cfg,
-            shards: (0..N_SHARDS).map(|_| SegQueue::new()).collect(),
+            shards: (0..N_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             in_flight: AtomicU64::new(0),
             pushes: AtomicU64::new(0),
             stalled: AtomicU64::new(0),
@@ -191,16 +189,33 @@ impl Channel {
         // Clock reads are not free; only pay for them when the wall-clock
         // telemetry has somewhere to land.
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
-        let mut tagged: Vec<(PushOrigin, Record)> =
-            Vec::with_capacity(self.in_flight.load(Ordering::Relaxed) as usize);
-        for shard in &self.shards {
-            while let Some(e) = shard.pop() {
-                tagged.push(e);
+        let mut shards: Vec<_> = self.shards.iter().map(lock).collect();
+        // A serial run over at most `N_SHARDS` blocks is already in
+        // order shard after shard (each shard holds its blocks' pushes in
+        // seq order): the records move straight out, with no merge.
+        let mut last: Option<PushOrigin> = None;
+        let in_order = shards.iter().all(|s| {
+            let ok = s.is_sorted_by_key(|(o, _)| *o)
+                && s.first().is_none_or(|(o, _)| last.is_none_or(|l| l < *o));
+            last = s.last().map(|(o, _)| *o).or(last);
+            ok
+        });
+        let n = self.in_flight.load(Ordering::Relaxed) as usize;
+        let mut out = Vec::with_capacity(n);
+        if in_order {
+            for s in &mut shards {
+                out.extend(s.drain(..).map(|(_, r)| r));
             }
+        } else {
+            let mut tagged: Vec<(PushOrigin, Record)> = Vec::with_capacity(n);
+            for s in &mut shards {
+                tagged.append(s);
+            }
+            tagged.sort_unstable_by_key(|(origin, _)| *origin);
+            out.extend(tagged.into_iter().map(|(_, r)| r));
         }
-        tagged.sort_by_key(|(origin, _)| *origin);
+        drop(shards);
         self.in_flight.store(0, Ordering::Relaxed);
-        let out: Vec<Record> = tagged.into_iter().map(|(_, r)| r).collect();
         // Wall-clock series: lands in the telemetry snapshot's volatile
         // section only, never in deterministic artifacts.
         if let Some(t0) = t0 {
@@ -243,6 +258,12 @@ impl Channel {
     }
 }
 
+/// Lock one shard. A panic while a shard was held cannot leave its
+/// `Vec` half-updated, so a poisoned lock is still safe to use.
+fn lock(shard: &Mutex<Vec<(PushOrigin, Record)>>) -> MutexGuard<'_, Vec<(PushOrigin, Record)>> {
+    shard.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl Default for Channel {
     fn default() -> Self {
         Channel::new(ChannelConfig::default())
@@ -251,7 +272,7 @@ impl Default for Channel {
 
 impl HostChannel for Channel {
     fn push_from(&self, origin: PushOrigin, bytes: &[u8], wire_bytes: usize) -> u64 {
-        self.shards[origin.block as usize % N_SHARDS].push((origin, Record::new(bytes)));
+        lock(&self.shards[origin.block as usize % N_SHARDS]).push((origin, Record::new(bytes)));
         self.pushes.fetch_add(1, Ordering::Relaxed);
         // This push's global ordinal since the last drain decides its
         // congestion regime (the pre-parallel code incremented first, then
@@ -291,10 +312,12 @@ impl HostChannel for Channel {
         if k == 0 {
             return 0;
         }
-        let shard = &self.shards[batch.block() as usize % N_SHARDS];
-        for e in batch.entries() {
-            shard.push((batch.origin(e), Record::new(batch.payload(e))));
-        }
+        lock(&self.shards[batch.block() as usize % N_SHARDS]).extend(
+            batch
+                .entries()
+                .iter()
+                .map(|e| (batch.origin(e), Record::new(batch.payload(e)))),
+        );
         self.pushes.fetch_add(k, Ordering::Relaxed);
         let n0 = self.in_flight.fetch_add(k, Ordering::Relaxed);
         let base = self.cfg.push_cost + self.cfg.cost_per_8_bytes * batch.total_wire().div_ceil(8);

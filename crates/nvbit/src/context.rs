@@ -135,14 +135,14 @@ impl<T: NvbitTool> Nvbit<T> {
     fn build_instrumented(&mut self, kernel: &Arc<KernelCode>) -> InstrumentedCode {
         let mut ic = InstrumentedCode::plain(Arc::clone(kernel));
         for pc in 0..kernel.len() as u32 {
-            let instr = kernel.instrs[pc as usize].clone();
+            let instr = &kernel.instrs[pc as usize];
             let mut inserter = Inserter {
                 ic: &mut ic,
                 pc,
                 inserted: 0,
             };
             self.tool
-                .instrument_instruction(kernel, pc, &instr, &mut inserter);
+                .instrument_instruction(kernel, pc, instr, &mut inserter);
         }
         ic
     }

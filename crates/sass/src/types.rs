@@ -239,6 +239,18 @@ pub struct ClassMasks {
 }
 
 impl ClassMasks {
+    /// Classes from per-lane exponent-all-ones, exponent-zero and
+    /// mantissa-zero masks, restricted to `active`.
+    #[inline]
+    fn from_fields(exp_ones: u32, exp_zero: u32, man_zero: u32, active: u32) -> Self {
+        ClassMasks {
+            nan: exp_ones & !man_zero & active,
+            inf: exp_ones & man_zero & active,
+            sub: exp_zero & !man_zero & active,
+            zero: exp_zero & man_zero & active,
+        }
+    }
+
     /// Lanes holding a value GPU-FPX reports as exceptional
     /// (NaN | INF | subnormal) — the warp-level analogue of
     /// [`FpClass::is_exceptional`].
@@ -266,80 +278,90 @@ impl ClassMasks {
     }
 }
 
+/// Lanes of an FP32 row holding NaN, ±INF or a subnormal — the
+/// [`ClassMasks::exceptional`] of [`row_class_masks_f32`] in one
+/// compare pass, for scans that only need to know whether anything is
+/// exceptional before looking closer.
+#[inline]
+pub fn row_exceptional_f32(row: &[u32; 32], active: u32) -> u32 {
+    let mut m = 0u32;
+    for (lane, &bits) in row.iter().enumerate() {
+        let mag = bits & 0x7fff_ffff;
+        let exc = (mag >= 0x7f80_0000) | (mag.wrapping_sub(1) < 0x007f_ffff);
+        m |= (exc as u32) << lane;
+    }
+    m & active
+}
+
+/// [`row_exceptional_f32`] for FP64 register-pair rows (`lo` = `Rd`,
+/// `hi` = `Rd+1`).
+#[inline]
+pub fn row_exceptional_f64(lo: &[u32; 32], hi: &[u32; 32], active: u32) -> u32 {
+    let mut m = 0u32;
+    for lane in 0..32 {
+        let mag = hi[lane] & 0x7fff_ffff;
+        let exc = (mag >= 0x7ff0_0000) | ((mag < 0x0010_0000) & ((mag | lo[lane]) != 0));
+        m |= (exc as u32) << lane;
+    }
+    m & active
+}
+
+/// [`row_exceptional_f32`] for FP16 rows (value in the low 16 bits).
+#[inline]
+pub fn row_exceptional_f16(row: &[u32; 32], active: u32) -> u32 {
+    let mut m = 0u32;
+    for (lane, &bits) in row.iter().enumerate() {
+        let mag = bits & 0x7fff;
+        let exc = (mag >= 0x7c00) | (mag.wrapping_sub(1) < 0x03ff);
+        m |= (exc as u32) << lane;
+    }
+    m & active
+}
+
 /// Classify all 32 lanes of an FP32 register row in one straight-line
-/// pass. The body is branch-free (SNIPPETS Snippet 1 style: shift off the
-/// sign, isolate exponent and mantissa, fold boolean bit tests into lane
-/// masks), so the compiler can unroll/vectorize it — this is the
-/// detector's and analyzer's hot-path classification.
+/// pass. The body is branch-free (SNIPPETS Snippet 1 style: isolate
+/// exponent and mantissa, fold three boolean bit tests into lane masks,
+/// derive the four classes from those at the end). Hot paths first ask
+/// [`row_exceptional_f32`] whether any lane is exceptional at all.
 #[inline]
 pub fn row_class_masks_f32(row: &[u32; 32], active: u32) -> ClassMasks {
-    let (mut nan, mut inf, mut sub, mut zero) = (0u32, 0u32, 0u32, 0u32);
+    let (mut exp_ones, mut exp_zero, mut man_zero) = (0u32, 0u32, 0u32);
     for (lane, &bits) in row.iter().enumerate() {
-        let exp = (bits << 1) >> 24; // 8-bit exponent, sign shifted off
-        let man = (bits << 9) >> 9; // 23-bit mantissa
-        let exp_ones = (exp == 0xff) as u32;
-        let exp_zero = (exp == 0) as u32;
-        let man_zero = (man == 0) as u32;
-        nan |= (exp_ones & (1 ^ man_zero)) << lane;
-        inf |= (exp_ones & man_zero) << lane;
-        sub |= (exp_zero & (1 ^ man_zero)) << lane;
-        zero |= (exp_zero & man_zero) << lane;
+        let exp = (bits >> 23) & 0xff;
+        exp_ones |= ((exp == 0xff) as u32) << lane;
+        exp_zero |= ((exp == 0) as u32) << lane;
+        man_zero |= (((bits & 0x007f_ffff) == 0) as u32) << lane;
     }
-    ClassMasks {
-        nan: nan & active,
-        inf: inf & active,
-        sub: sub & active,
-        zero: zero & active,
-    }
+    ClassMasks::from_fields(exp_ones, exp_zero, man_zero, active)
 }
 
 /// Classify all 32 lanes of an FP64 register-pair row (`lo` = `Rd`,
 /// `hi` = `Rd+1`) branchlessly; see [`row_class_masks_f32`].
 #[inline]
 pub fn row_class_masks_f64(lo: &[u32; 32], hi: &[u32; 32], active: u32) -> ClassMasks {
-    let (mut nan, mut inf, mut sub, mut zero) = (0u32, 0u32, 0u32, 0u32);
+    let (mut exp_ones, mut exp_zero, mut man_zero) = (0u32, 0u32, 0u32);
     for lane in 0..32 {
         let h = hi[lane];
-        let exp = (h << 1) >> 21; // 11-bit exponent from the high word
-        let exp_ones = (exp == 0x7ff) as u32;
-        let exp_zero = (exp == 0) as u32;
-        let man_zero = (((h << 12) >> 12) | lo[lane] == 0) as u32;
-        nan |= (exp_ones & (1 ^ man_zero)) << lane;
-        inf |= (exp_ones & man_zero) << lane;
-        sub |= (exp_zero & (1 ^ man_zero)) << lane;
-        zero |= (exp_zero & man_zero) << lane;
+        let exp = (h >> 20) & 0x7ff; // 11-bit exponent from the high word
+        exp_ones |= ((exp == 0x7ff) as u32) << lane;
+        exp_zero |= ((exp == 0) as u32) << lane;
+        man_zero |= (((h & 0x000f_ffff) | lo[lane] == 0) as u32) << lane;
     }
-    ClassMasks {
-        nan: nan & active,
-        inf: inf & active,
-        sub: sub & active,
-        zero: zero & active,
-    }
+    ClassMasks::from_fields(exp_ones, exp_zero, man_zero, active)
 }
 
 /// Classify all 32 lanes of an FP16 row (value in the low 16 bits of each
 /// register, as `HADD2`-style ops store a scalar half) branchlessly.
 #[inline]
 pub fn row_class_masks_f16(row: &[u32; 32], active: u32) -> ClassMasks {
-    let (mut nan, mut inf, mut sub, mut zero) = (0u32, 0u32, 0u32, 0u32);
+    let (mut exp_ones, mut exp_zero, mut man_zero) = (0u32, 0u32, 0u32);
     for (lane, &bits) in row.iter().enumerate() {
-        let bits = bits & 0xffff;
         let exp = (bits >> 10) & 0x1f;
-        let man = bits & 0x03ff;
-        let exp_ones = (exp == 0x1f) as u32;
-        let exp_zero = (exp == 0) as u32;
-        let man_zero = (man == 0) as u32;
-        nan |= (exp_ones & (1 ^ man_zero)) << lane;
-        inf |= (exp_ones & man_zero) << lane;
-        sub |= (exp_zero & (1 ^ man_zero)) << lane;
-        zero |= (exp_zero & man_zero) << lane;
+        exp_ones |= ((exp == 0x1f) as u32) << lane;
+        exp_zero |= ((exp == 0) as u32) << lane;
+        man_zero |= (((bits & 0x03ff) == 0) as u32) << lane;
     }
-    ClassMasks {
-        nan: nan & active,
-        inf: inf & active,
-        sub: sub & active,
-        zero: zero & active,
-    }
+    ClassMasks::from_fields(exp_ones, exp_zero, man_zero, active)
 }
 
 /// Widen an IEEE binary16 bit pattern to f32 (handles subnormals, ±INF,
@@ -551,6 +573,50 @@ mod tests {
         assert_eq!(half.exceptional() & 0xffff_0000, 0);
         for lane in 16..32u32 {
             assert_eq!(half.class_of(lane), FpClass::Normal);
+        }
+    }
+
+    #[test]
+    fn one_pass_exceptional_masks_agree_with_class_masks() {
+        let f32s = [
+            0u32,
+            0x8000_0000,
+            1,
+            0x807f_ffff,
+            0x0080_0000,
+            0x3f80_0000,
+            0x7f7f_ffff,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0000,
+            0xffff_ffff,
+            0x007f_ffff,
+        ];
+        let row: [u32; 32] = std::array::from_fn(|l| f32s[l % f32s.len()]);
+        let hi: [u32; 32] = std::array::from_fn(|l| {
+            [
+                0,
+                0x8000_0000,
+                0x000f_ffff,
+                0x0010_0000,
+                0x7ff0_0000,
+                0x7ff8_0000,
+            ][l % 6]
+        });
+        let lo: [u32; 32] = std::array::from_fn(|l| [0, 1, 0, 7][l % 4]);
+        for active in [u32::MAX, 0x5555_0f0f, 0] {
+            assert_eq!(
+                row_exceptional_f32(&row, active),
+                row_class_masks_f32(&row, active).exceptional()
+            );
+            assert_eq!(
+                row_exceptional_f64(&lo, &hi, active),
+                row_class_masks_f64(&lo, &hi, active).exceptional()
+            );
+            assert_eq!(
+                row_exceptional_f16(&row, active),
+                row_class_masks_f16(&row, active).exceptional()
+            );
         }
     }
 

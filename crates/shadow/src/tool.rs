@@ -33,10 +33,11 @@ use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::op::{BaseOp, MufuFunc};
 use fpx_sass::operand::{CBankRef, Operand, PredOperand, Reg, RZ};
-use fpx_sass::types::FpFormat;
+use fpx_sass::types::{pair_to_f64_bits, FpFormat};
 use fpx_sim::exec::lanes_of;
 use fpx_sim::fpu;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, Phase, When};
+use fpx_sim::WARP_SIZE;
 use gpu_fpx::record::LocationTable;
 use gpu_fpx::FlowState;
 use parking_lot::Mutex;
@@ -189,8 +190,8 @@ fn parse_generic(s: &str, wide: bool) -> Option<f64> {
     Some(if wide { v } else { (v as f32) as f64 })
 }
 
-/// One shadow register slot.
-#[derive(Debug, Clone, Copy)]
+/// One shadow register slot. `width` 0 marks a lane with no slot.
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// Register width this slot shadows (4 = one reg, 8 = a pair).
     width: u8,
@@ -202,21 +203,48 @@ struct Slot {
     diverged: bool,
 }
 
-type LaneOperands = Vec<(f64, bool)>;
+/// The slots of one ⟨warp, register⟩, one per lane.
+type SlotRow = [Slot; WARP_SIZE as usize];
+
+/// Resolved source operands of one lane, `(shadow value, diverged)` per
+/// source in operand order (at most three).
+type LaneOperands = [(f64, bool); 3];
 
 /// Per-block shadow state: the register file plus the pre-execution
 /// operand capture for shared-dest instructions (`FADD R6, R1, R6`).
 #[derive(Debug, Default)]
 struct BlockShadow {
-    slots: HashMap<(u32, u32, Reg), Slot>,
+    /// `rows[warp][reg]`: dense per-warp rows, allocated the first time a
+    /// register of that warp gets a slot.
+    rows: Vec<Vec<Option<Box<SlotRow>>>>,
+    /// Operands captured before execution, per warp, in guarded-lane
+    /// order.
     pending: HashMap<u32, Vec<LaneOperands>>,
+}
+
+impl BlockShadow {
+    fn row(&self, warp: u32, reg: Reg) -> Option<&SlotRow> {
+        self.rows.get(warp as usize)?.get(reg as usize)?.as_deref()
+    }
+
+    fn row_mut(&mut self, warp: u32, reg: Reg) -> &mut SlotRow {
+        let (w, r) = (warp as usize, reg as usize);
+        if self.rows.len() <= w {
+            self.rows.resize_with(w + 1, Vec::new);
+        }
+        let regs = &mut self.rows[w];
+        if regs.len() <= r {
+            regs.resize_with(r + 1, || None);
+        }
+        regs[r].get_or_insert_with(|| Box::new([Slot::default(); WARP_SIZE as usize]))
+    }
 }
 
 struct ShadowShared {
     cfg: ShadowConfig,
-    /// Keyed by block: each hook only touches its own block's entry, so
-    /// the state evolution is schedule-independent.
-    state: Mutex<HashMap<u32, BlockShadow>>,
+    /// Indexed by block: each hook only touches its own block's entry,
+    /// so the state evolution is schedule-independent.
+    state: Mutex<Vec<BlockShadow>>,
     comparisons: AtomicU64,
 }
 
@@ -254,49 +282,56 @@ struct ShadowFn {
     args: u32,
 }
 
-fn resolve_lane(
+/// Resolve every source operand of the guarded lanes, in lane order:
+/// each register source reads its real row and its slot row once. A slot
+/// whose recorded bits no longer match the register has been overwritten
+/// by an un-shadowed producer, and the source heals to the real value.
+fn resolve_ops(
     bs: &BlockShadow,
     spec: &ShadowSpec,
     ctx: &InjectionCtx<'_, '_>,
-    lane: u32,
-) -> LaneOperands {
-    spec.srcs
-        .iter()
-        .map(|s| match s {
+) -> Vec<LaneOperands> {
+    let n = ctx.guarded_mask.count_ones() as usize;
+    let mut ops = vec![[(0.0, false); 3]; n];
+    for (i, src) in spec.srcs.iter().enumerate() {
+        let lanes = ops.iter_mut().zip(lanes_of(ctx.guarded_mask));
+        match src {
             SrcSpec::Reg { num, neg } => {
-                let (sh, div) = if spec.wide() {
-                    let raw = ctx.lanes.reg_pair(lane, *num);
-                    match bs.slots.get(&(ctx.warp, lane, *num)) {
-                        Some(sl) if sl.width == 8 && sl.real == raw => (sl.shadow, sl.diverged),
-                        _ => (rpc_truncate(f64::from_bits(raw)), false),
-                    }
-                } else {
-                    let raw = ctx.lanes.reg(lane, *num);
-                    match bs.slots.get(&(ctx.warp, lane, *num)) {
-                        Some(sl) if sl.width == 4 && sl.real == raw as u64 => {
-                            (sl.shadow, sl.diverged)
+                let slots = bs.row(ctx.warp, *num);
+                let lo = ctx.lanes.reg_row(*num);
+                let hi = spec.wide().then(|| ctx.lanes.reg_row(num.wrapping_add(1)));
+                for (op, lane) in lanes {
+                    let l = lane as usize;
+                    let slot = slots.map(|r| r[l]).unwrap_or_default();
+                    let (sh, div) = match hi {
+                        Some(hi) => {
+                            let raw = pair_to_f64_bits(lo[l], hi[l]);
+                            if slot.width == 8 && slot.real == raw {
+                                (slot.shadow, slot.diverged)
+                            } else {
+                                (rpc_truncate(f64::from_bits(raw)), false)
+                            }
                         }
-                        _ => (f32::from_bits(raw) as f64, false),
-                    }
-                };
-                (if *neg { -sh } else { sh }, div)
-            }
-            SrcSpec::Const(v) => (*v, false),
-            SrcSpec::CBank(c) => {
-                if spec.wide() {
-                    (
-                        rpc_truncate(f64::from_bits(ctx.cbanks.read_u64(c.bank, c.offset))),
-                        false,
-                    )
-                } else {
-                    (
-                        f32::from_bits(ctx.cbanks.read_u32(c.bank, c.offset)) as f64,
-                        false,
-                    )
+                        None if slot.width == 4 && slot.real == lo[l] as u64 => {
+                            (slot.shadow, slot.diverged)
+                        }
+                        None => (f32::from_bits(lo[l]) as f64, false),
+                    };
+                    op[i] = (if *neg { -sh } else { sh }, div);
                 }
             }
-        })
-        .collect()
+            SrcSpec::Const(v) => lanes.for_each(|(op, _)| op[i] = (*v, false)),
+            SrcSpec::CBank(c) => {
+                let v = if spec.wide() {
+                    rpc_truncate(f64::from_bits(ctx.cbanks.read_u64(c.bank, c.offset)))
+                } else {
+                    f32::from_bits(ctx.cbanks.read_u32(c.bank, c.offset)) as f64
+                };
+                lanes.for_each(|(op, _)| op[i] = (v, false));
+            }
+        }
+    }
+    ops
 }
 
 /// Exact-precision shadow of a MUFU approximation. The SFU always
@@ -388,39 +423,45 @@ impl DeviceFn for ShadowFn {
     fn call(&self, ctx: &mut InjectionCtx<'_, '_>) {
         let spec = &self.spec;
         let mut st = self.shared.state.lock();
-        let bs = st.entry(ctx.block).or_default();
+        let b = ctx.block as usize;
+        if st.len() <= b {
+            st.resize_with(b + 1, BlockShadow::default);
+        }
+        let bs = &mut st[b];
 
         if self.before {
             // Pre-execution operand capture for shared-dest sites: the
             // source shadows must be read before the result overwrites
             // the aliased register.
-            let ops: Vec<LaneOperands> = lanes_of(ctx.guarded_mask)
-                .map(|lane| resolve_lane(bs, spec, ctx, lane))
-                .collect();
+            let ops = resolve_ops(bs, spec, ctx);
             bs.pending.insert(ctx.warp, ops);
             return;
         }
 
-        let pending = bs.pending.remove(&ctx.warp);
+        let ops = match bs.pending.remove(&ctx.warp) {
+            Some(ops) => ops,
+            None => resolve_ops(bs, spec, ctx),
+        };
+        let nsrc = spec.srcs.len();
+        let dest_lo = ctx.lanes.reg_row(spec.dest);
+        let dest_hi = spec
+            .wide()
+            .then(|| ctx.lanes.reg_row(spec.dest.wrapping_add(1)));
+        let slots = bs.row_mut(ctx.warp, spec.dest);
         let mut comparisons = 0u64;
         let mut record: Option<[u8; REC_LEN]> = None;
-        for (i, lane) in lanes_of(ctx.guarded_mask).enumerate() {
-            let ops = match &pending {
-                Some(v) => match v.get(i) {
-                    Some(ops) => ops.clone(),
-                    None => continue,
-                },
-                None => resolve_lane(bs, spec, ctx, lane),
-            };
-            let (shadow, addends) = self.shadow_result(ctx, lane, &ops);
+        for (ops, lane) in ops.iter().zip(lanes_of(ctx.guarded_mask)) {
+            let ops = &ops[..nsrc];
+            let l = lane as usize;
+            let (shadow, addends) = self.shadow_result(ctx, lane, ops);
             let src_diverged = ops.iter().any(|(_, d)| *d);
 
-            let (real_bits, real) = if spec.wide() {
-                let b = ctx.lanes.reg_pair(lane, spec.dest);
-                (b, f64::from_bits(b))
-            } else {
-                let b = ctx.lanes.reg(lane, spec.dest);
-                (b as u64, f32::from_bits(b) as f64)
+            let (real_bits, real) = match dest_hi {
+                Some(hi) => {
+                    let b = pair_to_f64_bits(dest_lo[l], hi[l]);
+                    (b, f64::from_bits(b))
+                }
+                None => (dest_lo[l] as u64, f32::from_bits(dest_lo[l]) as f64),
             };
             comparisons += 1;
 
@@ -436,15 +477,12 @@ impl DeviceFn for ShadowFn {
             } else {
                 real
             };
-            bs.slots.insert(
-                (ctx.warp, lane, spec.dest),
-                Slot {
-                    width: if spec.wide() { 8 } else { 4 },
-                    real: real_bits,
-                    shadow: new_shadow,
-                    diverged: dest_diverged,
-                },
-            );
+            slots[l] = Slot {
+                width: if spec.wide() { 8 } else { 4 },
+                real: real_bits,
+                shadow: new_shadow,
+                diverged: dest_diverged,
+            };
 
             let state = match (dest_diverged, src_diverged) {
                 (true, false) => FlowState::Appearance,
@@ -496,7 +534,7 @@ impl Shadow {
         Shadow {
             shared: Arc::new(ShadowShared {
                 cfg,
-                state: Mutex::new(HashMap::new()),
+                state: Mutex::new(Vec::new()),
                 comparisons: AtomicU64::new(0),
             }),
             locs: Arc::new(Mutex::new(LocationTable::new())),

@@ -5,12 +5,12 @@ use crate::fpu;
 use crate::hooks::{ChannelPort, InjectionCtx, InstrumentedCode, When};
 use crate::mem::{ConstBanks, DeviceMemory, MemFault};
 use crate::timing::{Clock, CostModel};
-use crate::warp::{SyncFrame, WarpControl, WarpLanes};
+use crate::warp::{Row, SyncFrame, WarpControl, WarpLanes};
 use crate::WARP_SIZE;
 use fpx_sass::instr::Instruction;
 use fpx_sass::op::{BaseOp, MemWidth, SpecialReg};
-use fpx_sass::operand::Operand;
-use fpx_sass::types::{f16_to_f32, f32_to_f16};
+use fpx_sass::operand::{Operand, RZ};
+use fpx_sass::types::{f16_to_f32, f32_to_f16, pair_to_f64_bits};
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,64 +217,80 @@ impl WarpExec<'_, '_> {
         }
     }
 
-    /// Read an FP32 source operand for one lane, as raw bits.
-    fn src32(&self, lane: u32, op: &Operand) -> Result<u32, SimError> {
-        let bits = match op {
+    /// Resolve an FP32 source operand into a row of raw bits: a register
+    /// is its SoA row (sign-flipped when negated); an immediate, cbank or
+    /// `GENERIC` literal is broadcast.
+    fn row32(&self, op: &Operand) -> Result<Row, SimError> {
+        Ok(match op {
             Operand::Reg { num, neg, .. } => {
-                let b = self.lanes.reg(lane, *num);
-                if *neg {
-                    b ^ 0x8000_0000
-                } else {
-                    b
-                }
+                let flip = if *neg { 0x8000_0000 } else { 0 };
+                self.lanes.reg_row(*num).map(|b| b ^ flip)
             }
-            Operand::ImmDouble(v) => (*v as f32).to_bits(),
-            Operand::ImmInt(v) => *v as u32,
-            Operand::CBank(c) => self.cbanks.read_u32(c.bank, c.offset),
-            Operand::Generic(s) => generic_bits32(s),
+            Operand::ImmDouble(v) => [(*v as f32).to_bits(); LANES],
+            Operand::ImmInt(v) => [*v as u32; LANES],
+            Operand::CBank(c) => [self.cbanks.read_u32(c.bank, c.offset); LANES],
+            Operand::Generic(s) => [generic_bits(s).0; LANES],
             _ => return Err(self.err(format!("bad FP32 source operand {op}"))),
-        };
-        Ok(bits)
+        })
     }
 
-    /// Read an FP64 source operand for one lane, as raw bits (register pair
-    /// concatenation per §2.2).
-    fn src64(&self, lane: u32, op: &Operand) -> Result<u64, SimError> {
-        let bits = match op {
+    /// Resolve an FP64 source operand into a row of raw bits (register
+    /// pair concatenation per §2.2).
+    fn row64(&self, op: &Operand) -> Result<Row64, SimError> {
+        Ok(match op {
             Operand::Reg { num, neg, .. } => {
-                let b = self.lanes.reg_pair(lane, *num);
-                if *neg {
-                    b ^ 0x8000_0000_0000_0000
+                let flip = if *neg { 1 << 63 } else { 0 };
+                if *num == RZ {
+                    [flip; LANES]
                 } else {
-                    b
+                    let (lo, hi) = (self.lanes.reg_row(*num), self.lanes.reg_row(*num + 1));
+                    std::array::from_fn(|l| pair_to_f64_bits(lo[l], hi[l]) ^ flip)
                 }
             }
-            Operand::ImmDouble(v) => v.to_bits(),
-            Operand::CBank(c) => self.cbanks.read_u64(c.bank, c.offset),
-            Operand::Generic(s) => generic_bits64(s),
+            Operand::ImmDouble(v) => [v.to_bits(); LANES],
+            Operand::CBank(c) => [self.cbanks.read_u64(c.bank, c.offset); LANES],
+            Operand::Generic(s) => [generic_bits(s).1; LANES],
             _ => return Err(self.err(format!("bad FP64 source operand {op}"))),
-        };
-        Ok(bits)
+        })
     }
 
-    /// Read an integer source operand for one lane.
-    fn src_int(&self, lane: u32, op: &Operand) -> Result<i32, SimError> {
-        match op {
+    /// Resolve an integer source operand into a row (two's-complement
+    /// bits; a negated register is negated, not sign-flipped).
+    fn row_int(&self, op: &Operand) -> Result<Row, SimError> {
+        Ok(match op {
             Operand::Reg { num, neg, .. } => {
-                let v = self.lanes.reg(lane, *num) as i32;
-                Ok(if *neg { v.wrapping_neg() } else { v })
+                let row = self.lanes.reg_row(*num);
+                if *neg {
+                    row.map(u32::wrapping_neg)
+                } else {
+                    *row
+                }
             }
-            Operand::ImmInt(v) => Ok(*v as i32),
-            Operand::CBank(c) => Ok(self.cbanks.read_u32(c.bank, c.offset) as i32),
-            _ => Err(self.err(format!("bad integer source operand {op}"))),
-        }
+            Operand::ImmInt(v) => [*v as i32 as u32; LANES],
+            Operand::CBank(c) => [self.cbanks.read_u32(c.bank, c.offset); LANES],
+            _ => return Err(self.err(format!("bad integer source operand {op}"))),
+        })
     }
 
-    fn eval_pred_operand(&self, lane: u32, op: &Operand) -> Result<bool, SimError> {
+    /// Lanes on which a predicate source operand reads true.
+    fn pred_operand_mask(&self, op: &Operand) -> Result<u32, SimError> {
         match op {
-            Operand::Pred(p) => Ok(self.lanes.pred(lane, p.reg) != p.neg),
+            Operand::Pred(p) => Ok(self.lanes.pred_mask(p.reg) ^ if p.neg { u32::MAX } else { 0 }),
             _ => Err(self.err(format!("expected predicate operand, got {op}"))),
         }
+    }
+
+    /// Source operands `1..=N`, checked for presence in order before any
+    /// of them is resolved.
+    fn srcs<'i, const N: usize>(
+        &self,
+        instr: &'i Instruction,
+    ) -> Result<[&'i Operand; N], SimError> {
+        let mut out = [None; N];
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = Some(self.operand(instr, i + 1)?);
+        }
+        Ok(out.map(|o| o.expect("filled above")))
     }
 
     fn operand<'i>(&self, instr: &'i Instruction, i: usize) -> Result<&'i Operand, SimError> {
@@ -288,41 +304,33 @@ impl WarpExec<'_, '_> {
     fn guarded_mask(&self, instr: &Instruction, mask: u32) -> u32 {
         match instr.guard {
             None => mask,
-            Some(g) => {
-                let mut m = 0u32;
-                for lane in lanes_of(mask) {
-                    if self.lanes.pred(lane, g.reg) != g.neg {
-                        m |= 1 << lane;
-                    }
-                }
-                m
-            }
+            Some(g) => mask & (self.lanes.pred_mask(g.reg) ^ if g.neg { u32::MAX } else { 0 }),
         }
     }
 
     fn run_injections(&mut self, pc: u32, when: When, exec_mask: u32, guarded_mask: u32) {
-        // Indexed loop instead of iterator: the callback needs `&mut self`
-        // fields, so we clone the (cheap, Arc-based) injection handles.
-        let n = self.code.injections[pc as usize].len();
-        for i in 0..n {
-            let inj = self.code.injections[pc as usize][i].clone();
+        // `code` is a shared `&'a` borrow, independent of `&mut self`, so
+        // the hook list is walked in place while each call gets the warp's
+        // mutable state.
+        let code = self.code;
+        for inj in &code.injections[pc as usize] {
             if inj.when != when {
                 continue;
             }
-            let call_cycles = self.cost.injected_call
-                + self.cost.injected_arg * inj.func.num_runtime_args() as u64;
+            let call_cycles =
+                self.cost.injected_call + self.cost.injected_arg * inj.num_runtime_args as u64;
             self.clock.charge(call_cycles);
             self.stats.injected_calls += 1;
             self.stats.injected_cycles += call_cycles;
-            if inj.func.is_shadow() {
+            if inj.is_shadow {
                 self.stats.shadow_calls += 1;
                 self.stats.shadow_cycles += call_cycles;
-            } else if inj.func.is_coach() {
+            } else if inj.is_coach {
                 self.stats.coach_calls += 1;
                 self.stats.coach_cycles += call_cycles;
             }
             let mut ctx = InjectionCtx {
-                kernel_name: &self.code.code.name,
+                kernel_name: &code.code.name,
                 launch_id: self.launch_id,
                 pc,
                 block: self.ids.block,
@@ -482,416 +490,261 @@ impl WarpExec<'_, '_> {
     }
 
     /// Execute a non-control instruction on the guarded lanes.
+    ///
+    /// Every source operand is resolved once into a 32-lane row. Pure ops
+    /// compute all 32 lanes branch-free and write back only the guarded
+    /// lanes (exited and predicated-off lanes keep their state); memory
+    /// ops keep a lane-ordered loop so a fault leaves exactly the stores
+    /// of the lanes before it and reports the first faulting lane.
     fn exec_data(&mut self, instr: &Instruction, guarded: u32) -> Result<(), SimError> {
         use BaseOp::*;
         let ftz = instr.opcode.mods.ftz;
-        match instr.opcode.base {
-            FAdd | FAdd32I => self.fp32_binop(instr, guarded, |a, b| fpu::fadd(a, b, ftz)),
-            HAdd => self.fp16_binop(instr, guarded, |a, b| a + b),
-            HMul => self.fp16_binop(instr, guarded, |a, b| a * b),
-            HFma => {
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op, c_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                    self.operand(instr, 3)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f16_to_f32(self.src32(lane, &a_op)? as u16);
-                    let b = f16_to_f32(self.src32(lane, &b_op)? as u16);
-                    let c = f16_to_f32(self.src32(lane, &c_op)? as u16);
-                    let r = f32_to_f16(a.mul_add(b, c));
-                    self.lanes.set_reg(lane, dst, r as u32);
-                }
-                Ok(())
+        let base = instr.opcode.base;
+        if matches!(base, Ldg(_) | Stg(_) | Lds(_) | Sts(_) | Nop) {
+            return self.exec_memory(instr, guarded);
+        }
+        // The destination is checked before any source, as hardware
+        // decodes it first.
+        let dst = if base.writes_predicate() {
+            Dst::Pred(self.dest_pred(instr)?)
+        } else {
+            Dst::Reg(self.dest_reg(instr)?)
+        };
+        let out = match base {
+            FAdd | FAdd32I => Out::Reg(self.fp32(instr, ftz, |[a, b]| zip2(a, b, |x, y| x + y))?),
+            FMul | FMul32I => Out::Reg(self.fp32(instr, ftz, |[a, b]| zip2(a, b, |x, y| x * y))?),
+            FFma | FFma32I => {
+                Out::Reg(self.fp32(instr, ftz, |[a, b, c]| fpu::mul_add_row(a, b, c))?)
             }
-            FMul | FMul32I => self.fp32_binop(instr, guarded, |a, b| fpu::fmul(a, b, ftz)),
-            FFma | FFma32I => self.fp32_ternop(instr, guarded, |a, b, c| fpu::ffma(a, b, c, ftz)),
+            // FP16 ops compute through f32 (as the tensor-core-era hardware
+            // does for scalar halves) and narrow the result back to binary16.
+            HAdd => Out::Reg(self.fp16(instr, |[a, b]| a + b)?),
+            HMul => Out::Reg(self.fp16(instr, |[a, b]| a * b)?),
+            HFma => Out::Reg(self.fp16(instr, |[a, b, c]| a.mul_add(b, c))?),
+            DAdd => Out::Pair(self.fp64(instr, |[a, b]| zip2(a, b, |x, y| x + y))?),
+            DMul => Out::Pair(self.fp64(instr, |[a, b]| zip2(a, b, |x, y| x * y))?),
+            DFma => Out::Pair(self.fp64(instr, |[a, b, c]| fpu::mul_add_row(a, b, c))?),
             Mufu(func) => {
-                let dst = self.dest_reg(instr)?;
-                let src = self.operand(instr, 1)?.clone();
-                if func.is_64h() {
-                    for lane in lanes_of(guarded) {
-                        let hi = self.src32(lane, &src)?;
-                        let r = fpu::mufu64h(func, hi);
-                        self.lanes.set_reg(lane, dst, r);
-                    }
+                let [x] = self.rows(instr, Self::row32)?;
+                Out::Reg(if func.is_64h() {
+                    x.map(|hi| fpu::mufu64h(func, hi))
                 } else {
-                    for lane in lanes_of(guarded) {
-                        let x = f32::from_bits(self.src32(lane, &src)?);
-                        self.lanes
-                            .set_reg(lane, dst, fpu::mufu32(func, x).to_bits());
-                    }
-                }
-                Ok(())
+                    x.map(|b| fpu::mufu32(func, f32::from_bits(b)).to_bits())
+                })
             }
+            // FCHK Pd, Ra, Rb — true when a/b needs the slow fix-up path
+            // (zero/INF/NaN divisor, non-finite dividend, or extreme
+            // exponent split).
             FChk => {
-                // FCHK Pd, Ra, Rb — true when a/b needs the slow fix-up
-                // path (zero/INF/NaN divisor, non-finite dividend, or
-                // extreme exponent split).
-                let pd = self.dest_pred(instr)?;
-                let a_op = self.operand(instr, 1)?.clone();
-                let b_op = self.operand(instr, 2)?.clone();
-                for lane in lanes_of(guarded) {
-                    let a = f32::from_bits(self.src32(lane, &a_op)?);
-                    let b = f32::from_bits(self.src32(lane, &b_op)?);
-                    let slow = b == 0.0
+                let [a, b] = self.rows(instr, Self::row32)?;
+                Out::Pred(lane_mask(|l| {
+                    let (a, b) = (f32::from_bits(a[l]), f32::from_bits(b[l]));
+                    b == 0.0
                         || !b.is_finite()
                         || !a.is_finite()
                         || b.is_subnormal()
-                        || (a != 0.0 && (a.abs().log2() - b.abs().log2()).abs() > 125.0);
-                    self.lanes.set_pred(lane, pd, slow);
-                }
-                Ok(())
+                        || (a != 0.0 && (a.abs().log2() - b.abs().log2()).abs() > 125.0)
+                }))
             }
-            DAdd => self.fp64_binop(instr, guarded, |a, b| a + b),
-            DMul => self.fp64_binop(instr, guarded, |a, b| a * b),
-            DFma => {
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op, c_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                    self.operand(instr, 3)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f64::from_bits(self.src64(lane, &a_op)?);
-                    let b = f64::from_bits(self.src64(lane, &b_op)?);
-                    let c = f64::from_bits(self.src64(lane, &c_op)?);
-                    self.lanes
-                        .set_reg_pair(lane, dst, a.mul_add(b, c).to_bits());
-                }
-                Ok(())
-            }
-            FSel => {
-                // FSEL Rd, Ra, Rb, Pp — Rd = Pp ? Ra : Rb.
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op, p_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                    self.operand(instr, 3)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let take_a = self.eval_pred_operand(lane, &p_op)?;
-                    let v = if take_a {
-                        self.src32(lane, &a_op)?
-                    } else {
-                        self.src32(lane, &b_op)?
-                    };
-                    self.lanes.set_reg(lane, dst, v);
-                }
-                Ok(())
-            }
+            FSel => return self.fsel(instr, dst, guarded),
             FSet(cmp) => {
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f32::from_bits(self.src32(lane, &a_op)?) as f64;
-                    let b = f32::from_bits(self.src32(lane, &b_op)?) as f64;
-                    let v = if cmp.eval(a, b) { 1.0f32 } else { 0.0f32 };
-                    self.lanes.set_reg(lane, dst, v.to_bits());
-                }
-                Ok(())
+                let [a, b] = self.rows(instr, Self::row32)?;
+                Out::Reg(std::array::from_fn(|l| {
+                    let hit = cmp.eval(widen32(a[l]), widen32(b[l]));
+                    if hit { 1.0f32 } else { 0.0 }.to_bits()
+                }))
             }
             FSetP(cmp) => {
-                let pd = self.dest_pred(instr)?;
-                let (a_op, b_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f32::from_bits(self.src32(lane, &a_op)?) as f64;
-                    let b = f32::from_bits(self.src32(lane, &b_op)?) as f64;
-                    self.lanes.set_pred(lane, pd, cmp.eval(a, b));
-                }
-                Ok(())
+                let [a, b] = self.rows(instr, Self::row32)?;
+                Out::Pred(lane_mask(|l| cmp.eval(widen32(a[l]), widen32(b[l]))))
             }
             DSetP(cmp) => {
-                let pd = self.dest_pred(instr)?;
-                let (a_op, b_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f64::from_bits(self.src64(lane, &a_op)?);
-                    let b = f64::from_bits(self.src64(lane, &b_op)?);
-                    self.lanes.set_pred(lane, pd, cmp.eval(a, b));
-                }
-                Ok(())
+                let [a, b] = self.rows(instr, Self::row64)?;
+                Out::Pred(lane_mask(|l| {
+                    cmp.eval(f64::from_bits(a[l]), f64::from_bits(b[l]))
+                }))
             }
+            // FMNMX Rd, Ra, Rb, Pp — min if Pp else max, IEEE-2008
+            // NaN-swallowing semantics.
             FMnMx => {
-                // FMNMX Rd, Ra, Rb, Pp — min if Pp else max, IEEE-2008
-                // NaN-swallowing semantics.
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op, p_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                    self.operand(instr, 3)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f32::from_bits(self.src32(lane, &a_op)?) as f64;
-                    let b = f32::from_bits(self.src32(lane, &b_op)?) as f64;
-                    let is_min = self.eval_pred_operand(lane, &p_op)?;
-                    let v = if is_min {
-                        fpu::min_2008(a, b)
-                    } else {
-                        fpu::max_2008(a, b)
-                    } as f32;
-                    self.lanes
-                        .set_reg(lane, dst, fpu::maybe_ftz32(v, ftz).to_bits());
-                }
-                Ok(())
+                let ([a, b], is_min) = self.min_max_operands(instr, Self::row32)?;
+                Out::Reg(std::array::from_fn(|l| {
+                    let v = min_max(is_min, l, widen32(a[l]), widen32(b[l])) as f32;
+                    fpu::maybe_ftz32(v, ftz).to_bits()
+                }))
             }
             DMnMx => {
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op, p_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                    self.operand(instr, 3)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = f64::from_bits(self.src64(lane, &a_op)?);
-                    let b = f64::from_bits(self.src64(lane, &b_op)?);
-                    let is_min = self.eval_pred_operand(lane, &p_op)?;
-                    let v = if is_min {
-                        fpu::min_2008(a, b)
-                    } else {
-                        fpu::max_2008(a, b)
-                    };
-                    self.lanes.set_reg_pair(lane, dst, v.to_bits());
-                }
-                Ok(())
+                let ([a, b], is_min) = self.min_max_operands(instr, Self::row64)?;
+                Out::Pair(std::array::from_fn(|l| {
+                    min_max(is_min, l, f64::from_bits(a[l]), f64::from_bits(b[l])).to_bits()
+                }))
             }
-            F2F {
-                dst: dfmt,
-                src: sfmt,
-            } => {
+            F2F { dst, src } => {
                 use fpx_sass::types::FpFormat::*;
-                let dst = self.dest_reg(instr)?;
-                let src = self.operand(instr, 1)?.clone();
-                for lane in lanes_of(guarded) {
-                    match (dfmt, sfmt) {
-                        (Fp32, Fp64) => {
-                            let x = f64::from_bits(self.src64(lane, &src)?);
-                            self.lanes.set_reg(lane, dst, (x as f32).to_bits());
-                        }
-                        (Fp64, Fp32) => {
-                            let x = f32::from_bits(self.src32(lane, &src)?);
-                            self.lanes.set_reg_pair(lane, dst, (x as f64).to_bits());
-                        }
-                        _ => return Err(self.err(format!("unsupported F2F {dfmt}->{sfmt}"))),
-                    }
+                let [op] = self.srcs(instr)?;
+                match (dst, src) {
+                    (Fp32, Fp64) => Out::Reg(
+                        self.row64(op)?
+                            .map(|b| (f64::from_bits(b) as f32).to_bits()),
+                    ),
+                    (Fp64, Fp32) => Out::Pair(
+                        self.row32(op)?
+                            .map(|b| (f32::from_bits(b) as f64).to_bits()),
+                    ),
+                    _ => return Err(self.err(format!("unsupported F2F {dst}->{src}"))),
                 }
-                Ok(())
             }
             I2F => {
-                let dst = self.dest_reg(instr)?;
-                let src = self.operand(instr, 1)?.clone();
-                for lane in lanes_of(guarded) {
-                    let x = self.src_int(lane, &src)?;
-                    self.lanes.set_reg(lane, dst, (x as f32).to_bits());
-                }
-                Ok(())
+                let [x] = self.rows(instr, Self::row_int)?;
+                Out::Reg(x.map(|v| (v as i32 as f32).to_bits()))
             }
             F2I => {
-                let dst = self.dest_reg(instr)?;
-                let src = self.operand(instr, 1)?.clone();
-                for lane in lanes_of(guarded) {
-                    let x = f32::from_bits(self.src32(lane, &src)?);
-                    let v = if x.is_nan() { 0 } else { x as i32 };
-                    self.lanes.set_reg(lane, dst, v as u32);
-                }
-                Ok(())
+                let [x] = self.rows(instr, Self::row32)?;
+                Out::Reg(x.map(|b| {
+                    let x = f32::from_bits(b);
+                    (if x.is_nan() { 0 } else { x as i32 }) as u32
+                }))
             }
+            // MOV copies raw bits; float immediates encode as f32.
             Mov | Mov32I => {
-                let dst = self.dest_reg(instr)?;
-                let src = self.operand(instr, 1)?.clone();
-                for lane in lanes_of(guarded) {
-                    // MOV copies raw bits; float immediates encode as f32.
-                    let bits = match &src {
-                        Operand::ImmInt(v) => *v as u32,
-                        other => self.src32(lane, other)?,
-                    };
-                    self.lanes.set_reg(lane, dst, bits);
-                }
-                Ok(())
+                let [x] = self.rows(instr, Self::row32)?;
+                Out::Reg(x)
             }
             IAdd3 => {
-                let dst = self.dest_reg(instr)?;
-                let srcs: Vec<Operand> = instr.src_operands().to_vec();
-                for lane in lanes_of(guarded) {
-                    let mut acc = 0i32;
-                    for s in &srcs {
-                        acc = acc.wrapping_add(self.src_int(lane, s)?);
+                let mut acc = [0u32; LANES];
+                for s in instr.src_operands() {
+                    for (a, v) in acc.iter_mut().zip(self.row_int(s)?) {
+                        *a = a.wrapping_add(v);
                     }
-                    self.lanes.set_reg(lane, dst, acc as u32);
                 }
-                Ok(())
+                Out::Reg(acc)
             }
             IMad => {
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op, c_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                    self.operand(instr, 3)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = self.src_int(lane, &a_op)?;
-                    let b = self.src_int(lane, &b_op)?;
-                    let c = self.src_int(lane, &c_op)?;
-                    self.lanes
-                        .set_reg(lane, dst, a.wrapping_mul(b).wrapping_add(c) as u32);
-                }
-                Ok(())
+                let [a, b, c] = self.rows(instr, Self::row_int)?;
+                Out::Reg(std::array::from_fn(|l| {
+                    a[l].wrapping_mul(b[l]).wrapping_add(c[l])
+                }))
             }
             ISetP(cmp) => {
-                let pd = self.dest_pred(instr)?;
-                let (a_op, b_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = self.src_int(lane, &a_op)?;
-                    let b = self.src_int(lane, &b_op)?;
-                    self.lanes.set_pred(lane, pd, cmp.eval(a, b));
-                }
-                Ok(())
+                let [a, b] = self.rows(instr, Self::row_int)?;
+                Out::Pred(lane_mask(|l| cmp.eval(a[l] as i32, b[l] as i32)))
             }
             Shl => {
-                let dst = self.dest_reg(instr)?;
-                let (a_op, b_op) = (
-                    self.operand(instr, 1)?.clone(),
-                    self.operand(instr, 2)?.clone(),
-                );
-                for lane in lanes_of(guarded) {
-                    let a = self.src_int(lane, &a_op)? as u32;
-                    let sh = self.src_int(lane, &b_op)? as u32 & 31;
-                    self.lanes.set_reg(lane, dst, a << sh);
-                }
-                Ok(())
+                let [a, b] = self.rows(instr, Self::row_int)?;
+                Out::Reg(std::array::from_fn(|l| a[l] << (b[l] & 31)))
             }
-            S2R(sr) => {
-                let dst = self.dest_reg(instr)?;
-                for lane in lanes_of(guarded) {
-                    let v = match sr {
-                        SpecialReg::TidX => self.ids.warp * WARP_SIZE + lane,
-                        SpecialReg::CtaidX => self.ids.block,
-                        SpecialReg::NtidX => self.ids.ntid,
-                        SpecialReg::LaneId => lane,
-                    };
-                    self.lanes.set_reg(lane, dst, v);
-                }
-                Ok(())
-            }
-            Ldg(w) => {
-                let dst = self.dest_reg(instr)?;
-                let mem = self.mem_ref(instr, 1)?;
-                for lane in lanes_of(guarded) {
-                    let addr = self
-                        .lanes
-                        .reg(lane, mem.base)
-                        .wrapping_add(mem.offset as u32);
-                    let v = match w {
-                        MemWidth::W32 => {
-                            self.global.load_u32(addr).map_err(|f| self.mem_err(f))? as u64
-                        }
-                        MemWidth::W64 => self.global.load_u64(addr).map_err(|f| self.mem_err(f))?,
-                    };
-                    match w {
-                        MemWidth::W32 => self.lanes.set_reg(lane, dst, v as u32),
-                        MemWidth::W64 => self.lanes.set_reg_pair(lane, dst, v),
-                    }
-                }
-                Ok(())
-            }
-            Stg(w) => {
-                let mem = self.mem_ref(instr, 0)?;
-                let src = self.operand(instr, 1)?.clone();
-                let src_reg = src
-                    .as_reg()
-                    .ok_or_else(|| self.err("STG source must be a register"))?;
-                for lane in lanes_of(guarded) {
-                    let addr = self
-                        .lanes
-                        .reg(lane, mem.base)
-                        .wrapping_add(mem.offset as u32);
-                    match w {
-                        MemWidth::W32 => {
-                            let v = self.lanes.reg(lane, src_reg);
-                            self.global
-                                .store_u32(addr, v)
-                                .map_err(|f| self.mem_err(f))?;
-                        }
-                        MemWidth::W64 => {
-                            let v = self.lanes.reg_pair(lane, src_reg);
-                            self.global
-                                .store_u64(addr, v)
-                                .map_err(|f| self.mem_err(f))?;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Lds(w) => {
-                let dst = self.dest_reg(instr)?;
-                let mem = self.mem_ref(instr, 1)?;
-                for lane in lanes_of(guarded) {
-                    let addr = self
-                        .lanes
-                        .reg(lane, mem.base)
-                        .wrapping_add(mem.offset as u32);
-                    let v = self.shared.load(addr, w).map_err(|f| self.mem_err(f))?;
-                    match w {
-                        MemWidth::W32 => self.lanes.set_reg(lane, dst, v as u32),
-                        MemWidth::W64 => self.lanes.set_reg_pair(lane, dst, v),
-                    }
-                }
-                Ok(())
-            }
-            Sts(w) => {
-                let mem = self.mem_ref(instr, 0)?;
-                let src = self.operand(instr, 1)?.clone();
-                let src_reg = src
-                    .as_reg()
-                    .ok_or_else(|| self.err("STS source must be a register"))?;
-                for lane in lanes_of(guarded) {
-                    let addr = self
-                        .lanes
-                        .reg(lane, mem.base)
-                        .wrapping_add(mem.offset as u32);
-                    let v = match w {
-                        MemWidth::W32 => self.lanes.reg(lane, src_reg) as u64,
-                        MemWidth::W64 => self.lanes.reg_pair(lane, src_reg),
-                    };
-                    self.shared.store(addr, v, w).map_err(|f| self.mem_err(f))?;
-                }
-                Ok(())
-            }
+            S2R(sr) => Out::Reg(std::array::from_fn(|l| match sr {
+                SpecialReg::TidX => self.ids.warp * WARP_SIZE + l as u32,
+                SpecialReg::CtaidX => self.ids.block,
+                SpecialReg::NtidX => self.ids.ntid,
+                SpecialReg::LaneId => l as u32,
+            })),
             Ldc(w) => {
-                let dst = self.dest_reg(instr)?;
-                let src = self.operand(instr, 1)?.clone();
-                let Operand::CBank(c) = src else {
+                let Operand::CBank(c) = self.operand(instr, 1)? else {
                     return Err(self.err("LDC source must be a cbank reference"));
                 };
-                for lane in lanes_of(guarded) {
-                    match w {
-                        MemWidth::W32 => {
-                            let v = self.cbanks.read_u32(c.bank, c.offset);
-                            self.lanes.set_reg(lane, dst, v);
-                        }
-                        MemWidth::W64 => {
-                            let v = self.cbanks.read_u64(c.bank, c.offset);
-                            self.lanes.set_reg_pair(lane, dst, v);
-                        }
-                    }
+                match w {
+                    MemWidth::W32 => Out::Reg([self.cbanks.read_u32(c.bank, c.offset); LANES]),
+                    MemWidth::W64 => Out::Pair([self.cbanks.read_u64(c.bank, c.offset); LANES]),
                 }
-                Ok(())
             }
-            Nop => Ok(()),
-            Bra | Ssy | Sync | Bar | Exit => unreachable!("handled in run()"),
+            Ldg(_) | Stg(_) | Lds(_) | Sts(_) | Nop | Bra | Ssy | Sync | Bar | Exit => {
+                unreachable!("handled before")
+            }
+        };
+        match (dst, out) {
+            (Dst::Reg(r), Out::Reg(row)) => self.lanes.write_row(r, guarded, &row),
+            (Dst::Reg(r), Out::Pair(bits)) => self.lanes.write_row_pair(r, guarded, &bits),
+            (Dst::Pred(p), Out::Pred(hit)) => self.lanes.set_pred_mask(p, guarded, hit),
+            _ => unreachable!("{base:?} writes its destination's kind"),
         }
+        Ok(())
+    }
+
+    /// FSEL Rd, Ra, Rb, Pp — Rd = Pp ? Ra : Rb. A lane reads only the
+    /// source it selects, so a malformed source is an error only when
+    /// some lane selects it (the first guarded lane's choice first).
+    fn fsel(&mut self, instr: &Instruction, dst: Dst, guarded: u32) -> Result<(), SimError> {
+        let Dst::Reg(dst) = dst else {
+            unreachable!("FSEL writes a register")
+        };
+        let [a, b, p] = self.srcs(instr)?;
+        let take_a = self.pred_operand_mask(p)? & guarded;
+        let mut picks = [(a, take_a), (b, guarded & !take_a)];
+        if take_a & (1 << guarded.trailing_zeros()) == 0 {
+            picks.reverse();
+        }
+        for (op, lanes) in picks {
+            if lanes != 0 {
+                let row = self.row32(op)?;
+                self.lanes.write_row(dst, lanes, &row);
+            }
+        }
+        Ok(())
+    }
+
+    /// Sources and selector of FMNMX/DMNMX: both values, then the
+    /// min-lanes mask.
+    fn min_max_operands<T: Copy + Default>(
+        &self,
+        instr: &Instruction,
+        resolve: fn(&Self, &Operand) -> Result<[T; LANES], SimError>,
+    ) -> Result<([[T; LANES]; 2], u32), SimError> {
+        let [a, b, p] = self.srcs(instr)?;
+        let rows = [resolve(self, a)?, resolve(self, b)?];
+        Ok((rows, self.pred_operand_mask(p)?))
+    }
+
+    /// LDG/STG/LDS/STS: one lane at a time in lane order, so a fault
+    /// leaves the accesses of the lanes before it done.
+    fn exec_memory(&mut self, instr: &Instruction, guarded: u32) -> Result<(), SimError> {
+        let (w, store, global) = match instr.opcode.base {
+            BaseOp::Ldg(w) => (w, false, true),
+            BaseOp::Stg(w) => (w, true, true),
+            BaseOp::Lds(w) => (w, false, false),
+            BaseOp::Sts(w) => (w, true, false),
+            _ => return Ok(()), // NOP
+        };
+        // `[addr], Rs` for stores, `Rd, [addr]` for loads.
+        let (mem, reg) = if store {
+            let mem = self.mem_ref(instr, 0)?;
+            let name = if global { "STG" } else { "STS" };
+            let src = self.operand(instr, 1)?.as_reg();
+            (
+                mem,
+                src.ok_or_else(|| self.err(format!("{name} source must be a register")))?,
+            )
+        } else {
+            let dst = self.dest_reg(instr)?;
+            (self.mem_ref(instr, 1)?, dst)
+        };
+        let base = *self.lanes.reg_row(mem.base);
+        for lane in lanes_of(guarded) {
+            let addr = base[lane as usize].wrapping_add(mem.offset as u32);
+            let r = if store {
+                let v = match w {
+                    MemWidth::W32 => self.lanes.reg(lane, reg) as u64,
+                    MemWidth::W64 => self.lanes.reg_pair(lane, reg),
+                };
+                match (global, w) {
+                    (true, MemWidth::W32) => self.global.store_u32(addr, v as u32),
+                    (true, MemWidth::W64) => self.global.store_u64(addr, v),
+                    (false, _) => self.shared.store(addr, v, w),
+                }
+            } else {
+                let v = match (global, w) {
+                    (true, MemWidth::W32) => self.global.load_u32(addr).map(u64::from),
+                    (true, MemWidth::W64) => self.global.load_u64(addr),
+                    (false, _) => self.shared.load(addr, w),
+                };
+                v.map(|v| match w {
+                    MemWidth::W32 => self.lanes.set_reg(lane, reg, v as u32),
+                    MemWidth::W64 => self.lanes.set_reg_pair(lane, reg, v),
+                })
+            };
+            r.map_err(|f| self.mem_err(f))?;
+        }
+        Ok(())
     }
 
     fn dest_reg(&self, instr: &Instruction) -> Result<fpx_sass::operand::Reg, SimError> {
@@ -919,132 +772,136 @@ impl WarpExec<'_, '_> {
         }
     }
 
-    /// FP16 ops compute through f32 (as the tensor-core-era hardware
-    /// does for scalar halves) and narrow the result back to binary16.
-    fn fp16_binop(
-        &mut self,
+    /// `op(Ra, Rb, …)` over `N` FP32 source rows. With `.FTZ`, every
+    /// input and the result are flushed (the `fpu::fadd` family's
+    /// semantics, applied row-wide).
+    fn fp32<const N: usize>(
+        &self,
         instr: &Instruction,
-        guarded: u32,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<(), SimError> {
-        let dst = self.dest_reg(instr)?;
-        let (a_op, b_op) = (
-            self.operand(instr, 1)?.clone(),
-            self.operand(instr, 2)?.clone(),
-        );
-        for lane in lanes_of(guarded) {
-            let a = f16_to_f32(self.src32(lane, &a_op)? as u16);
-            let b = f16_to_f32(self.src32(lane, &b_op)? as u16);
-            let r = f32_to_f16(f(a, b));
-            self.lanes.set_reg(lane, dst, r as u32);
-        }
-        Ok(())
+        ftz: bool,
+        op: impl Fn(&[[f32; LANES]; N]) -> [f32; LANES],
+    ) -> Result<Row, SimError> {
+        let mut x = self
+            .rows(instr, Self::row32)?
+            .map(|r| r.map(f32::from_bits));
+        Ok(if ftz {
+            for v in x.iter_mut().flatten() {
+                *v = fpu::ftz32(*v);
+            }
+            op(&x).map(|v| fpu::ftz32(v).to_bits())
+        } else {
+            op(&x).map(f32::to_bits)
+        })
     }
 
-    fn fp32_binop(
-        &mut self,
+    /// `f(a, b, …)` lane-wise over `N` FP16 sources, computed in f32.
+    fn fp16<const N: usize>(
+        &self,
         instr: &Instruction,
-        guarded: u32,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<(), SimError> {
-        let dst = self.dest_reg(instr)?;
-        let (a_op, b_op) = (
-            self.operand(instr, 1)?.clone(),
-            self.operand(instr, 2)?.clone(),
-        );
-        for lane in lanes_of(guarded) {
-            let a = f32::from_bits(self.src32(lane, &a_op)?);
-            let b = f32::from_bits(self.src32(lane, &b_op)?);
-            self.lanes.set_reg(lane, dst, f(a, b).to_bits());
-        }
-        Ok(())
+        f: impl Fn([f32; N]) -> f32,
+    ) -> Result<Row, SimError> {
+        let rows: [Row; N] = self.rows(instr, Self::row32)?;
+        Ok(std::array::from_fn(|l| {
+            f32_to_f16(f(std::array::from_fn(|i| f16_to_f32(rows[i][l] as u16)))) as u32
+        }))
     }
 
-    fn fp32_ternop(
-        &mut self,
+    /// `op(Ra, Rb, …)` over `N` FP64 source rows.
+    fn fp64<const N: usize>(
+        &self,
         instr: &Instruction,
-        guarded: u32,
-        f: impl Fn(f32, f32, f32) -> f32,
-    ) -> Result<(), SimError> {
-        let dst = self.dest_reg(instr)?;
-        let (a_op, b_op, c_op) = (
-            self.operand(instr, 1)?.clone(),
-            self.operand(instr, 2)?.clone(),
-            self.operand(instr, 3)?.clone(),
-        );
-        for lane in lanes_of(guarded) {
-            let a = f32::from_bits(self.src32(lane, &a_op)?);
-            let b = f32::from_bits(self.src32(lane, &b_op)?);
-            let c = f32::from_bits(self.src32(lane, &c_op)?);
-            self.lanes.set_reg(lane, dst, f(a, b, c).to_bits());
-        }
-        Ok(())
+        op: impl Fn(&[[f64; LANES]; N]) -> [f64; LANES],
+    ) -> Result<Row64, SimError> {
+        let rows = self.rows(instr, Self::row64)?;
+        Ok(op(&rows.map(|r| r.map(f64::from_bits))).map(f64::to_bits))
     }
 
-    fn fp64_binop(
-        &mut self,
+    /// Resolve sources `1..=N` with `resolve`, in operand order.
+    fn rows<T: Copy + Default, const N: usize>(
+        &self,
         instr: &Instruction,
-        guarded: u32,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<(), SimError> {
-        let dst = self.dest_reg(instr)?;
-        let (a_op, b_op) = (
-            self.operand(instr, 1)?.clone(),
-            self.operand(instr, 2)?.clone(),
-        );
-        for lane in lanes_of(guarded) {
-            let a = f64::from_bits(self.src64(lane, &a_op)?);
-            let b = f64::from_bits(self.src64(lane, &b_op)?);
-            self.lanes.set_reg_pair(lane, dst, f(a, b).to_bits());
+        resolve: fn(&Self, &Operand) -> Result<[T; LANES], SimError>,
+    ) -> Result<[[T; LANES]; N], SimError> {
+        let ops = self.srcs::<N>(instr)?;
+        let mut rows = [[T::default(); LANES]; N];
+        for (row, op) in rows.iter_mut().zip(ops) {
+            *row = resolve(self, op)?;
         }
-        Ok(())
+        Ok(rows)
+    }
+}
+
+/// Where a pure data op writes: a register (or FP64 pair) or a predicate.
+#[derive(Clone, Copy)]
+enum Dst {
+    Reg(fpx_sass::operand::Reg),
+    Pred(fpx_sass::operand::PredReg),
+}
+
+/// A pure data op's 32-lane result.
+enum Out {
+    Reg(Row),
+    Pair(Row64),
+    Pred(u32),
+}
+
+/// Lanes per warp, as an array length.
+const LANES: usize = WARP_SIZE as usize;
+
+/// One FP64 bit pattern per lane.
+type Row64 = [u64; LANES];
+
+/// `f(a[l], b[l])` for every lane.
+#[inline]
+fn zip2<T: Copy>(a: &[T; LANES], b: &[T; LANES], f: impl Fn(T, T) -> T) -> [T; LANES] {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+/// Lane mask of the lanes where `f(lane)` holds.
+#[inline]
+fn lane_mask(f: impl Fn(usize) -> bool) -> u32 {
+    (0..LANES).fold(0, |m, l| m | ((f(l) as u32) << l))
+}
+
+/// FP32 bits widened to f64 (compares and min/max run in f64).
+#[inline]
+fn widen32(bits: u32) -> f64 {
+    f32::from_bits(bits) as f64
+}
+
+/// IEEE-2008 min on the lanes of `is_min`, max on the others.
+#[inline]
+fn min_max(is_min: u32, lane: usize, a: f64, b: f64) -> f64 {
+    if (is_min >> lane) & 1 != 0 {
+        fpu::min_2008(a, b)
+    } else {
+        fpu::max_2008(a, b)
     }
 }
 
 /// Iterate the set lane indices of a mask.
 #[inline]
 pub fn lanes_of(mask: u32) -> impl Iterator<Item = u32> {
-    (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let lane = rest.trailing_zeros();
+        rest &= rest.wrapping_sub(1);
+        (lane < WARP_SIZE).then_some(lane)
+    })
 }
 
-/// Bits of a `GENERIC` textual operand (`+INF`, `-QNAN`) as FP32.
-fn generic_bits32(s: &str) -> u32 {
-    if s.contains("NAN") {
-        let nan = f32::NAN.to_bits();
-        if s.starts_with('-') {
-            nan | 0x8000_0000
-        } else {
-            nan
-        }
+/// Bits of a `GENERIC` textual operand (`+INF`, `-QNAN`) as FP32 and
+/// as FP64; anything else reads as zero.
+fn generic_bits(s: &str) -> (u32, u64) {
+    let (b32, b64) = if s.contains("NAN") {
+        (f32::NAN.to_bits(), f64::NAN.to_bits())
     } else if s.contains("INF") {
-        if s.starts_with('-') {
-            f32::NEG_INFINITY.to_bits()
-        } else {
-            f32::INFINITY.to_bits()
-        }
+        (f32::INFINITY.to_bits(), f64::INFINITY.to_bits())
     } else {
-        0
-    }
-}
-
-/// Bits of a `GENERIC` textual operand as FP64.
-fn generic_bits64(s: &str) -> u64 {
-    if s.contains("NAN") {
-        let nan = f64::NAN.to_bits();
-        if s.starts_with('-') {
-            nan | 0x8000_0000_0000_0000
-        } else {
-            nan
-        }
-    } else if s.contains("INF") {
-        if s.starts_with('-') {
-            f64::NEG_INFINITY.to_bits()
-        } else {
-            f64::INFINITY.to_bits()
-        }
-    } else {
-        0
-    }
+        return (0, 0);
+    };
+    let neg = s.starts_with('-');
+    (b32 | (neg as u32) << 31, b64 | (neg as u64) << 63)
 }
 
 #[cfg(test)]
@@ -1060,11 +917,12 @@ mod tests {
 
     #[test]
     fn generic_literals() {
-        assert!(f32::from_bits(generic_bits32("-QNAN")).is_nan());
-        assert!(f32::from_bits(generic_bits32("+QNAN")).is_nan());
-        assert_eq!(f32::from_bits(generic_bits32("+INF")), f32::INFINITY);
-        assert_eq!(f32::from_bits(generic_bits32("-INF")), f32::NEG_INFINITY);
-        assert!(f64::from_bits(generic_bits64("-QNAN")).is_nan());
-        assert_eq!(f64::from_bits(generic_bits64("-INF")), f64::NEG_INFINITY);
+        let (n32, n64) = generic_bits("-QNAN");
+        assert_eq!((n32, n64), (0xffc0_0000, (-f64::NAN).to_bits()));
+        assert!(f32::from_bits(generic_bits("+QNAN").0).is_nan());
+        assert_eq!(f32::from_bits(generic_bits("+INF").0), f32::INFINITY);
+        assert_eq!(f32::from_bits(generic_bits("-INF").0), f32::NEG_INFINITY);
+        assert_eq!(f64::from_bits(generic_bits("-INF").1), f64::NEG_INFINITY);
+        assert_eq!(generic_bits("-X"), (0, 0));
     }
 }

@@ -82,6 +82,72 @@ pub fn ffma(a: f32, b: f32, c: f32, ftz: bool) -> f32 {
     maybe_ftz32(a.mul_add(b, c), ftz)
 }
 
+/// A float type with a single-rounding fused multiply-add.
+pub trait Fused: Copy + Default {
+    fn fused(self, b: Self, c: Self) -> Self;
+    fn nan(self) -> bool;
+}
+
+macro_rules! fused {
+    ($($t:ty),*) => {$(
+        impl Fused for $t {
+            #[inline]
+            fn fused(self, b: $t, c: $t) -> $t {
+                self.mul_add(b, c)
+            }
+            #[inline]
+            fn nan(self) -> bool {
+                self.is_nan()
+            }
+        }
+    )*};
+}
+fused!(f32, f64);
+
+/// Fused multiply-add over a warp row: lane `l` is `a[l]·b[l] + c[l]`
+/// rounded once, bit-identical to `mul_add` per lane. On x86-64 hosts
+/// with FMA the row runs through the hardware instruction instead of one
+/// library call per lane. A finite or infinite result is fixed by IEEE
+/// rounding either way; which input NaN an FMA propagates depends on the
+/// instruction form, so NaN lanes are recomputed by `mul_add` itself.
+#[inline]
+pub fn mul_add_row<T: Fused>(a: &[T; 32], b: &[T; 32], c: &[T; 32]) -> [T; 32] {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the FMA feature was detected at runtime just above.
+        let mut out = unsafe { mul_add_row_fma(a, b, c) };
+        if out.iter().fold(false, |any, o| any | o.nan()) {
+            for (l, o) in out.iter_mut().enumerate() {
+                if o.nan() {
+                    *o = a[l].fused(b[l], c[l]);
+                }
+            }
+        }
+        return out;
+    }
+    mul_add_row_generic(a, b, c)
+}
+
+/// A plain loop (not `array::from_fn`'s closure) so that, inlined into
+/// [`mul_add_row_fma`], every lane compiles to the FMA instruction.
+#[inline(always)]
+fn mul_add_row_generic<T: Fused>(a: &[T; 32], b: &[T; 32], c: &[T; 32]) -> [T; 32] {
+    let mut out = [T::default(); 32];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = a[l].fused(b[l], c[l]);
+    }
+    out
+}
+
+/// # Safety
+///
+/// The host CPU must support FMA (`is_x86_feature_detected!("fma")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn mul_add_row_fma<T: Fused>(a: &[T; 32], b: &[T; 32], c: &[T; 32]) -> [T; 32] {
+    mul_add_row_generic(a, b, c)
+}
+
 /// IEEE-754-2008 minNum: a single NaN input is *swallowed* — the numeric
 /// operand wins. NVIDIA follows the 2008 standard (paper §1), which is why
 /// `FMNMX` can make a NaN disappear mid-kernel.

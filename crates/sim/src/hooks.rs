@@ -412,11 +412,20 @@ pub trait DeviceFn: Send + Sync {
 }
 
 /// One injection attached to one instruction.
+///
+/// The function's cost-accounting facts are read once at inject time, so
+/// dispatching a hook makes one virtual call (`func.call`), not four.
 #[derive(Clone)]
 pub struct Injection {
     pub when: When,
     pub phase: Phase,
     pub func: Arc<dyn DeviceFn>,
+    /// `func.num_runtime_args()`.
+    pub num_runtime_args: u32,
+    /// `func.is_shadow()`.
+    pub is_shadow: bool,
+    /// `func.is_coach()`.
+    pub is_coach: bool,
 }
 
 /// A kernel together with its (possibly empty) instrumentation.
@@ -459,7 +468,17 @@ impl InstrumentedCode {
                 .position(|i| i.phase == Phase::Observe)
                 .unwrap_or(slot.len()),
         };
-        slot.insert(pos, Injection { when, phase, func });
+        slot.insert(
+            pos,
+            Injection {
+                when,
+                phase,
+                num_runtime_args: func.num_runtime_args(),
+                is_shadow: func.is_shadow(),
+                is_coach: func.is_coach(),
+                func,
+            },
+        );
     }
 
     /// Total number of attached injections (JIT cost scales with this).

@@ -19,13 +19,19 @@ pub struct WarpLanes {
     ///
     /// [`reg_row`]: WarpLanes::reg_row
     regs: Vec<u32>,
-    /// Predicate registers P0–P6 per lane, bit-packed.
-    preds: [u8; WARP_SIZE as usize],
+    /// Predicate registers as lane masks: bit `l` of `preds[p]` is lane
+    /// `l`'s `Pp` (indexed by `p & 7`; `PT` never reaches the array), so a
+    /// guard or a compare resolves for the whole warp in one word.
+    preds: [u32; 8],
     num_regs: u32,
 }
 
+/// One 32-bit value per lane: the shape of a register row and of every
+/// resolved source operand in the row-at-a-time interpreter.
+pub type Row = [u32; WARP_SIZE as usize];
+
 /// The row every `RZ` read resolves to: 32 lanes of architectural zero.
-static RZ_ROW: [u32; WARP_SIZE as usize] = [0u32; WARP_SIZE as usize];
+static RZ_ROW: Row = [0u32; WARP_SIZE as usize];
 
 impl WarpLanes {
     pub fn new(num_regs: u16) -> Self {
@@ -33,7 +39,7 @@ impl WarpLanes {
         let num_regs = (num_regs as u32).max(8) + 2;
         WarpLanes {
             regs: vec![0u32; (num_regs * WARP_SIZE) as usize],
-            preds: [0u8; WARP_SIZE as usize],
+            preds: [0u32; 8],
             num_regs,
         }
     }
@@ -72,7 +78,7 @@ impl WarpLanes {
     /// detector and analyzer scan one row per operand instead of 32
     /// strided `reg()` calls.
     #[inline]
-    pub fn reg_row(&self, r: Reg) -> &[u32; WARP_SIZE as usize] {
+    pub fn reg_row(&self, r: Reg) -> &Row {
         if r == RZ {
             return &RZ_ROW;
         }
@@ -81,6 +87,41 @@ impl WarpLanes {
         self.regs[base..base + WARP_SIZE as usize]
             .try_into()
             .expect("SoA row is exactly WARP_SIZE wide")
+    }
+
+    /// Write `row` into register `r` on the lanes of `mask` only; the
+    /// other lanes keep their value. Writes to `RZ` are discarded.
+    #[inline]
+    pub fn write_row(&mut self, r: Reg, mask: u32, row: &Row) {
+        if r == RZ {
+            return;
+        }
+        debug_assert!((r as u32) < self.num_regs, "R{r} out of range");
+        let base = (r as u32 * WARP_SIZE) as usize;
+        let dst = &mut self.regs[base..base + WARP_SIZE as usize];
+        if mask == u32::MAX {
+            dst.copy_from_slice(row);
+            return;
+        }
+        for (lane, (d, &v)) in dst.iter_mut().zip(row).enumerate() {
+            let keep = ((mask >> lane) & 1).wrapping_sub(1); // all-ones = keep old
+            *d = (*d & keep) | (v & !keep);
+        }
+    }
+
+    /// Write FP64 bit patterns into the pair `(r, r+1)` on the lanes of
+    /// `mask` (the row form of [`set_reg_pair`](WarpLanes::set_reg_pair)).
+    #[inline]
+    pub fn write_row_pair(&mut self, r: Reg, mask: u32, bits: &[u64; WARP_SIZE as usize]) {
+        if r == RZ {
+            return;
+        }
+        self.write_row(r, mask, &std::array::from_fn(|l| bits[l] as u32));
+        self.write_row(
+            r + 1,
+            mask,
+            &std::array::from_fn(|l| (bits[l] >> 32) as u32),
+        );
     }
 
     /// Re-initialize for a (possibly different) register count, zeroing
@@ -117,23 +158,33 @@ impl WarpLanes {
     /// Read a predicate register; `PT` reads as true.
     #[inline]
     pub fn pred(&self, lane: u32, p: PredReg) -> bool {
-        if p == PT {
-            return true;
-        }
-        self.preds[lane as usize] & (1 << p) != 0
+        (self.pred_mask(p) >> lane) & 1 != 0
     }
 
     /// Write a predicate register; writes to `PT` are discarded.
     #[inline]
     pub fn set_pred(&mut self, lane: u32, p: PredReg, v: bool) {
+        self.set_pred_mask(p, 1 << lane, (v as u32) << lane);
+    }
+
+    /// All 32 lanes of predicate `p` as a lane mask; `PT` is all-ones.
+    #[inline]
+    pub fn pred_mask(&self, p: PredReg) -> u32 {
+        if p == PT {
+            return u32::MAX;
+        }
+        self.preds[(p & 7) as usize]
+    }
+
+    /// Set predicate `p` to `values` on the lanes of `lanes` only; writes
+    /// to `PT` are discarded.
+    #[inline]
+    pub fn set_pred_mask(&mut self, p: PredReg, lanes: u32, values: u32) {
         if p == PT {
             return;
         }
-        if v {
-            self.preds[lane as usize] |= 1 << p;
-        } else {
-            self.preds[lane as usize] &= !(1 << p);
-        }
+        let m = &mut self.preds[(p & 7) as usize];
+        *m = (*m & !lanes) | (values & lanes);
     }
 }
 

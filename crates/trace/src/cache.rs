@@ -250,7 +250,7 @@ fn encode_entry(e: &Entry) -> Vec<u8> {
 }
 
 fn decode_entry(bytes: &[u8]) -> Result<Entry, TraceError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.take(4)? != ENTRY_MAGIC {
         return Err(TraceError::BadMagic);
     }
@@ -262,20 +262,8 @@ fn decode_entry(bytes: &[u8]) -> Result<Entry, TraceError> {
         });
     }
     let config = r.str()?;
-    let nkernels = r.varint()? as usize;
-    if nkernels > bytes.len() {
-        return Err(TraceError::Corrupt(format!("kernel count {nkernels}")));
-    }
-    let mut kernels = Vec::with_capacity(nkernels);
-    for _ in 0..nkernels {
-        kernels.push(KernelMeta {
-            name: r.str()?,
-            num_regs: r.varint()? as u16,
-            num_instrs: r.varint()? as u32,
-            checksum: r.varint()?,
-        });
-    }
-    let len = r.varint()? as usize;
+    let kernels = r.kernel_metas(bytes.len())?;
+    let len: usize = r.varint_as("payload length")?;
     let payload = r.take(len)?.to_vec();
     Ok(Entry {
         key: CacheKey { kernels, config },
@@ -301,6 +289,19 @@ mod tests {
             kernels,
             config: config.into(),
         }
+    }
+
+    #[test]
+    fn entry_decoder_rejects_a_register_count_past_u16() {
+        let mut bytes = encode_entry(&Entry {
+            key: key("cfg", vec![meta("k", 10, 5, 0x11)]),
+            payload: b"p".to_vec(),
+        });
+        assert!(decode_entry(&bytes).is_ok());
+        // Re-encode num_regs 10 (one varint byte) as 65 546 (three).
+        let at = bytes.iter().rposition(|&b| b == 10).expect("num_regs byte");
+        bytes.splice(at..=at, [0x8a, 0x80, 0x04]);
+        assert!(matches!(decode_entry(&bytes), Err(TraceError::Corrupt(_))));
     }
 
     #[test]

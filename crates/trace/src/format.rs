@@ -98,9 +98,12 @@ pub struct KernelMeta {
 
 /// One recorded instrumented-instruction visit: everything an injected
 /// device function could observe, minus the state it never reads.
-/// `values` holds the raw 32-bit register bits for each guarded lane ×
-/// each referenced register of the instruction at `pc` (lane-major), in
-/// the canonical order [`crate::record::referenced_regs`] defines.
+/// `values` holds the raw 32-bit register bits for each referenced
+/// register of the instruction at `pc` (in the canonical order
+/// [`crate::record::referenced_regs`] defines) × each guarded lane:
+/// register-major, so a register's guarded lanes are one contiguous run
+/// that records and replays as a row copy. The wire stays lane-major
+/// (see [`wire_order`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Visit {
     pub pc: u32,
@@ -188,7 +191,7 @@ impl Trace {
     /// Parse the on-disk format. Rejects wrong magic/version and any
     /// structural damage with a typed [`TraceError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC {
             return Err(TraceError::BadMagic);
         }
@@ -210,32 +213,21 @@ impl Trace {
             b => return Err(TraceError::Corrupt(format!("bad fast_math byte {b}"))),
         };
         let program = r.str()?;
-        let nkernels = r.varint()? as usize;
-        if nkernels > bytes.len() {
-            return Err(TraceError::Corrupt(format!("kernel count {nkernels}")));
-        }
-        let mut kernels = Vec::with_capacity(nkernels);
-        for _ in 0..nkernels {
-            kernels.push(KernelMeta {
-                name: r.str()?,
-                num_regs: r.varint()? as u16,
-                num_instrs: r.varint()? as u32,
-                checksum: r.varint()?,
-            });
-        }
+        let kernels = r.kernel_metas(bytes.len())?;
+        let nkernels = kernels.len();
         let mut launches = Vec::new();
         let mut visits_seen = 0u64;
         loop {
             match r.byte()? {
                 TAG_LAUNCH_START => {
-                    let kernel = r.varint()? as u32;
+                    let kernel: u32 = r.varint_as("launch kernel index")?;
                     if kernel as usize >= kernels.len() {
                         return Err(TraceError::Corrupt(format!(
                             "launch references kernel {kernel} of {nkernels}"
                         )));
                     }
                     let plain_cycles = r.varint()?;
-                    let nblocks = r.varint()? as usize;
+                    let nblocks: usize = r.varint_as("block count")?;
                     if nblocks > bytes.len() {
                         return Err(TraceError::Corrupt(format!("block count {nblocks}")));
                     }
@@ -298,11 +290,68 @@ pub fn kernel_checksum(code: &fpx_sass::kernel::KernelCode) -> u64 {
     code.checksum()
 }
 
+/// How a visit's `values` are laid out. The wire is lane-major (lane
+/// `k`'s registers, then lane `k+1`'s); storage is register-major, so
+/// wire value `k·n + j` (lane `k`, register `j` of `n`) sits at
+/// `j·lanes + k`. A length that is no whole number of lanes (only a
+/// corrupt trace has one; replay rejects it) is kept in wire order.
+#[derive(Clone, Copy, PartialEq)]
+struct Layout {
+    lanes: usize,
+    nregs: usize,
+}
+
+impl Layout {
+    fn of(len: usize, guarded_mask: u32) -> Self {
+        let lanes = guarded_mask.count_ones() as usize;
+        if lanes != 0 && len.is_multiple_of(lanes) {
+            Layout {
+                lanes,
+                nregs: len / lanes,
+            }
+        } else {
+            Layout {
+                lanes: 1,
+                nregs: len,
+            }
+        }
+    }
+
+    /// `values` (register-major) into `wire` (lane-major).
+    fn to_wire(self, values: &[u32], wire: &mut Vec<u32>) {
+        wire.clear();
+        for k in 0..self.lanes {
+            wire.extend((0..self.nregs).map(|j| values[j * self.lanes + k]));
+        }
+    }
+
+    /// `wire` (lane-major) into register-major values.
+    fn to_storage(self, wire: &[u32]) -> Vec<u32> {
+        let mut values = Vec::with_capacity(wire.len());
+        for j in 0..self.nregs {
+            values.extend((0..self.lanes).map(|k| wire[k * self.nregs + j]));
+        }
+        values
+    }
+}
+
+/// The previous visit's values in wire order, as XOR coding pairs them:
+/// `scratch` when it holds exactly that visit (the usual case, since
+/// visits are coded in sequence), else rebuilt from `prev`.
+fn prev_wire<'s>(prev: &Visit, scratch: &'s mut Vec<u32>) -> &'s [u32] {
+    if scratch.len() != prev.values.len() {
+        Layout::of(prev.values.len(), prev.guarded_mask).to_wire(&prev.values, scratch);
+    }
+    scratch
+}
+
 /// Varint byte-stream writer, shared with the cache-entry format in
 /// [`crate::cache`].
 #[derive(Default)]
 pub(crate) struct Writer {
     pub(crate) out: Vec<u8>,
+    /// The previous and the current visit's values in wire order.
+    wire: (Vec<u32>, Vec<u32>),
 }
 
 impl Writer {
@@ -358,14 +407,22 @@ impl Writer {
             self.varint(v.guarded_mask as u64);
         }
         self.varint(v.values.len() as u64);
-        for (i, &val) in v.values.iter().enumerate() {
-            let enc = if xor {
-                val ^ prev.expect("xor implies prev").values[i]
-            } else {
-                val
-            };
-            self.varint(enc as u64);
+        let (mut prev_scratch, mut cur) = std::mem::take(&mut self.wire);
+        Layout::of(v.values.len(), v.guarded_mask).to_wire(&v.values, &mut cur);
+        match prev.filter(|_| xor) {
+            Some(p) => {
+                let pw = prev_wire(p, &mut prev_scratch);
+                for (&val, &pv) in cur.iter().zip(pw) {
+                    self.varint((val ^ pv) as u64);
+                }
+            }
+            None => {
+                for &val in &cur {
+                    self.varint(val as u64);
+                }
+            }
         }
+        self.wire = (cur, prev_scratch);
     }
 }
 
@@ -374,9 +431,19 @@ impl Writer {
 pub(crate) struct Reader<'a> {
     pub(crate) buf: &'a [u8],
     pub(crate) pos: usize,
+    /// The previous and the current visit's values in wire order.
+    wire: (Vec<u32>, Vec<u32>),
 }
 
 impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            wire: Default::default(),
+        }
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
         if self.pos + n > self.buf.len() {
             return Err(TraceError::Truncated);
@@ -411,8 +478,33 @@ impl<'a> Reader<'a> {
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
+    /// A varint that must fit `T`; anything wider is corruption, never a
+    /// silent truncation.
+    pub(crate) fn varint_as<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, TraceError> {
+        let v = self.varint()?;
+        T::try_from(v).map_err(|_| TraceError::Corrupt(format!("{what} {v} out of range")))
+    }
+
+    /// The kernel-metadata table shared by traces and cache entries.
+    pub(crate) fn kernel_metas(&mut self, total_len: usize) -> Result<Vec<KernelMeta>, TraceError> {
+        let nkernels: usize = self.varint_as("kernel count")?;
+        if nkernels > total_len {
+            return Err(TraceError::Corrupt(format!("kernel count {nkernels}")));
+        }
+        let mut kernels = Vec::with_capacity(nkernels);
+        for _ in 0..nkernels {
+            kernels.push(KernelMeta {
+                name: self.str()?,
+                num_regs: self.varint_as("register count")?,
+                num_instrs: self.varint_as("instruction count")?,
+                checksum: self.varint()?,
+            });
+        }
+        Ok(kernels)
+    }
+
     pub(crate) fn str(&mut self) -> Result<String, TraceError> {
-        let len = self.varint()? as usize;
+        let len: usize = self.varint_as("string length")?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| TraceError::Corrupt("string is not UTF-8".into()))
@@ -421,8 +513,12 @@ impl<'a> Reader<'a> {
     /// Decode one visit body (the `TAG_VISIT` byte is already consumed).
     fn visit(&mut self, prev: Option<&Visit>) -> Result<Visit, TraceError> {
         let flags = self.byte()?;
-        let pc = prev.map_or(0, |p| p.pc as i64) + self.zigzag()?;
-        let pc = u32::try_from(pc).map_err(|_| TraceError::Corrupt(format!("visit pc {pc}")))?;
+        let delta = self.zigzag()?;
+        let pc = prev
+            .map_or(0, |p| p.pc as i64)
+            .checked_add(delta)
+            .and_then(|pc| u32::try_from(pc).ok())
+            .ok_or_else(|| TraceError::Corrupt(format!("visit pc delta {delta}")))?;
         let (block, warp, exec_mask, guarded_mask) = if flags & FLAG_SAME_CTX != 0 {
             let p = prev.ok_or_else(|| {
                 TraceError::Corrupt("first visit of a launch claims SAME_CTX".into())
@@ -430,13 +526,13 @@ impl<'a> Reader<'a> {
             (p.block, p.warp, p.exec_mask, p.guarded_mask)
         } else {
             (
-                self.varint()? as u32,
+                self.varint_as("visit block")?,
                 self.byte()?,
-                self.varint()? as u32,
-                self.varint()? as u32,
+                self.varint_as("exec mask")?,
+                self.varint_as("guarded mask")?,
             )
         };
-        let n = self.varint()? as usize;
+        let n: usize = self.varint_as("value count")?;
         if n > self.buf.len() {
             return Err(TraceError::Corrupt(format!("visit claims {n} values")));
         }
@@ -444,15 +540,23 @@ impl<'a> Reader<'a> {
         if xor && prev.map_or(0, |p| p.values.len()) != n {
             return Err(TraceError::Corrupt("XOR_VALUES length mismatch".into()));
         }
-        let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            let raw = self.varint()? as u32;
-            values.push(if xor {
-                raw ^ prev.expect("checked above").values[i]
-            } else {
-                raw
-            });
+        let (mut prev_scratch, mut cur) = std::mem::take(&mut self.wire);
+        cur.clear();
+        match prev.filter(|_| xor) {
+            Some(p) => {
+                let pw = prev_wire(p, &mut prev_scratch);
+                for &pv in pw {
+                    cur.push(self.varint_as::<u32>("register value")? ^ pv);
+                }
+            }
+            None => {
+                for _ in 0..n {
+                    cur.push(self.varint_as("register value")?);
+                }
+            }
         }
+        let values = Layout::of(n, guarded_mask).to_storage(&cur);
+        self.wire = (cur, prev_scratch);
         Ok(Visit {
             pc,
             when: if flags & FLAG_AFTER != 0 {
@@ -513,6 +617,62 @@ mod tests {
                 ],
             }],
         }
+    }
+
+    /// A trace header with one kernel declaring `num_regs`, as raw varints.
+    fn header_with_regs(num_regs: u64) -> Writer {
+        let mut w = Writer::default();
+        w.out.extend_from_slice(&MAGIC);
+        w.out.extend_from_slice(&VERSION.to_le_bytes());
+        w.out.extend_from_slice(&[1, 0]); // Ampere, no fast math
+        w.str("prog");
+        w.varint(1);
+        w.str("k");
+        w.varint(num_regs);
+        w.varint(3);
+        w.varint(0xabc);
+        w
+    }
+
+    fn finish(mut w: Writer) -> Vec<u8> {
+        w.out.push(TAG_EOF);
+        w.varint(0);
+        w.out
+    }
+
+    #[test]
+    fn rejects_a_launch_kernel_index_past_u32() {
+        // 2^32 used to truncate to kernel 0 and pass the bounds check.
+        let launch = |kernel: u64| {
+            let mut w = header_with_regs(8);
+            w.out.push(TAG_LAUNCH_START);
+            w.varint(kernel);
+            w.varint(100); // plain cycles
+            w.varint(0); // no blocks
+            w.out.push(TAG_LAUNCH_END);
+            finish(w)
+        };
+        assert_eq!(Trace::from_bytes(&launch(0)).unwrap().launches.len(), 1);
+        assert!(matches!(
+            Trace::from_bytes(&launch(1 << 32)),
+            Err(TraceError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_a_register_count_past_u16() {
+        // 65 546 used to truncate to 10 registers.
+        assert_eq!(
+            Trace::from_bytes(&finish(header_with_regs(65_535)))
+                .unwrap()
+                .kernels[0]
+                .num_regs,
+            65_535
+        );
+        assert!(matches!(
+            Trace::from_bytes(&finish(header_with_regs(65_546))),
+            Err(TraceError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -582,19 +742,13 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut w = Writer::default();
             w.varint(v);
-            let mut r = Reader {
-                buf: &w.out,
-                pos: 0,
-            };
+            let mut r = Reader::new(&w.out);
             assert_eq!(r.varint().unwrap(), v);
         }
         for v in [0i64, -1, 1, -64, 63, i64::MIN, i64::MAX] {
             let mut w = Writer::default();
             w.zigzag(v);
-            let mut r = Reader {
-                buf: &w.out,
-                pos: 0,
-            };
+            let mut r = Reader::new(&w.out);
             assert_eq!(r.zigzag().unwrap(), v);
         }
     }

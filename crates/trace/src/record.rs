@@ -40,7 +40,7 @@ use fpx_nvbit::tool::Inserter;
 use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::{Operand, RZ};
-use fpx_sass::types::FpFormat;
+use fpx_sass::types::{row_exceptional_f16, row_exceptional_f32, row_exceptional_f64, FpFormat};
 use fpx_sim::exec::{lanes_of, SimError};
 use fpx_sim::gpu::{Arch, Gpu, LaunchConfig};
 use fpx_sim::hooks::{
@@ -122,25 +122,6 @@ pub fn referenced_regs(instr: &Instruction) -> Vec<u8> {
     regs
 }
 
-fn f32_exceptional(bits: u32) -> bool {
-    let exp = (bits >> 23) & 0xff;
-    let frac = bits & 0x7f_ffff;
-    exp == 0xff || (exp == 0 && frac != 0)
-}
-
-fn f64_exceptional(lo: u32, hi: u32) -> bool {
-    let bits = ((hi as u64) << 32) | lo as u64;
-    let exp = (bits >> 52) & 0x7ff;
-    let frac = bits & 0xf_ffff_ffff_ffff;
-    exp == 0x7ff || (exp == 0 && frac != 0)
-}
-
-fn f16_exceptional(bits: u16) -> bool {
-    let exp = (bits >> 10) & 0x1f;
-    let frac = bits & 0x3ff;
-    exp == 0x1f || (exp == 0 && frac != 0)
-}
-
 /// Shared state between the recording pass's injected functions and the
 /// launch loop: the visit stream (in execution order) and the per-block
 /// cycle samples delivered by the simulator's `block_done` hook.
@@ -183,10 +164,8 @@ impl HostChannel for RecordSink {
 /// arguments) is the recording pass's *entire* overhead, which
 /// [`TraceRecorder`] subtracts back out.
 ///
-/// `checks` maps each [`RegSlot`] to indices into the per-lane stretch
-/// of the collected value buffer `(fmt, lo, hi)`, so classification
-/// reads the values just captured instead of going back to the register
-/// file.
+/// `checks` maps each [`RegSlot`] to indices into `regs` `(fmt, lo, hi)`:
+/// classification scans those register rows once per visit.
 struct RecordFn {
     when: When,
     regs: Arc<[u8]>,
@@ -194,7 +173,7 @@ struct RecordFn {
     sink: Arc<RecordSink>,
 }
 
-/// Per-lane value-buffer indices for each slot of `instr` (see
+/// Indices into [`referenced_regs`] for each slot of `instr` (see
 /// [`RecordFn::checks`]).
 fn slot_checks(instr: &Instruction) -> Vec<(SlotFmt, u16, u16)> {
     let regs = referenced_regs(instr);
@@ -215,29 +194,27 @@ fn slot_checks(instr: &Instruction) -> Vec<(SlotFmt, u16, u16)> {
 
 impl DeviceFn for RecordFn {
     fn call(&self, ctx: &mut InjectionCtx<'_, '_>) {
-        let lanes = ctx.guarded_mask.count_ones() as usize;
-        let nregs = self.regs.len();
-        let mut values = Vec::with_capacity(lanes * nregs);
-        for lane in lanes_of(ctx.guarded_mask) {
-            for &r in self.regs.iter() {
-                values.push(ctx.lanes.reg(lane, r));
+        let mask = ctx.guarded_mask;
+        // Register-major values: each register's guarded lanes are one
+        // run of its row (the whole row on a full warp).
+        let mut values = Vec::with_capacity(mask.count_ones() as usize * self.regs.len());
+        for &r in self.regs.iter() {
+            let row = ctx.lanes.reg_row(r);
+            if mask == u32::MAX {
+                values.extend_from_slice(row);
+            } else {
+                values.extend(lanes_of(mask).map(|l| row[l as usize]));
             }
         }
-        let mut exceptional = false;
-        'classify: for lane in values.chunks_exact(nregs) {
-            for &(fmt, lo, hi) in self.checks.iter() {
-                exceptional |= match fmt {
-                    SlotFmt::F32 => f32_exceptional(lane[lo as usize]),
-                    SlotFmt::F16 => f16_exceptional(lane[lo as usize] as u16),
-                    SlotFmt::F64Pair | SlotFmt::F64Hi => {
-                        f64_exceptional(lane[lo as usize], lane[hi as usize])
-                    }
-                };
-                if exceptional {
-                    break 'classify;
-                }
-            }
-        }
+        let row = |i: u16| ctx.lanes.reg_row(self.regs[i as usize]);
+        let exceptional = self.checks.iter().any(|&(fmt, lo, hi)| {
+            let m = match fmt {
+                SlotFmt::F32 => row_exceptional_f32(row(lo), mask),
+                SlotFmt::F16 => row_exceptional_f16(row(lo), mask),
+                SlotFmt::F64Pair | SlotFmt::F64Hi => row_exceptional_f64(row(lo), row(hi), mask),
+            };
+            m != 0
+        });
         self.sink
             .visits
             .lock()
@@ -248,7 +225,7 @@ impl DeviceFn for RecordFn {
                 block: ctx.block,
                 warp: ctx.warp as u8,
                 exec_mask: ctx.exec_mask,
-                guarded_mask: ctx.guarded_mask,
+                guarded_mask: mask,
                 exceptional,
                 values,
             });
@@ -605,9 +582,10 @@ mod tests {
         assert_eq!(l.visits[1].values[0], 0x7fc0_0000);
         assert!(l.visits[1].exceptional);
         // The Before-visit of the next instruction reads the NaN as its
-        // source (values are [dest R2, src R1] per referenced_regs).
+        // source (values are [dest R2 × 32 lanes, src R1 × 32 lanes] per
+        // referenced_regs, register-major).
         assert_eq!(l.visits[2].pc, 2);
-        assert_eq!(l.visits[2].values[1], 0x7fc0_0000);
+        assert_eq!(l.visits[2].values[32], 0x7fc0_0000);
         // Baseline subtraction stays exact despite the extra mutator
         // charge at pc 1 (mutation changes no control flow here).
         let mut plain_gpu = Gpu::new(Arch::Ampere);

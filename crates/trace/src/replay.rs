@@ -38,6 +38,7 @@ use fpx_sim::hooks::{ChannelPort, InjectionCtx, InstrumentedCode};
 use fpx_sim::mem::{ConstBanks, DeviceMemory};
 use fpx_sim::timing::{Clock, CostModel};
 use fpx_sim::warp::WarpLanes;
+use fpx_sim::WARP_SIZE;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -237,10 +238,10 @@ impl TraceReplayer {
                 let mut ic = InstrumentedCode::plain(Arc::clone(kernel));
                 let mut regs_by_pc = Vec::with_capacity(kernel.len());
                 for pc in 0..kernel.len() as u32 {
-                    let instr = kernel.instrs[pc as usize].clone();
+                    let instr = &kernel.instrs[pc as usize];
                     let mut inserter = Inserter::new(&mut ic, pc);
-                    tool.instrument_instruction(kernel, pc, &instr, &mut inserter);
-                    regs_by_pc.push(referenced_regs(&instr));
+                    tool.instrument_instruction(kernel, pc, instr, &mut inserter);
+                    regs_by_pc.push(referenced_regs(instr));
                 }
                 (Arc::new(ic), regs_by_pc)
             });
@@ -284,31 +285,39 @@ impl TraceReplayer {
                     {
                         continue;
                     }
-                    let mut vi = v.values.iter();
-                    for lane in lanes_of(v.guarded_mask) {
-                        for &r in regs {
-                            lanes.set_reg(lane, r, *vi.next().expect("length checked"));
+                    // Values are register-major: each register's guarded
+                    // lanes stage as one row write.
+                    let n = v.guarded_mask.count_ones() as usize;
+                    for (&r, run) in regs.iter().zip(v.values.chunks_exact(n.max(1))) {
+                        let mut row = [0u32; WARP_SIZE as usize];
+                        if n == WARP_SIZE as usize {
+                            row.copy_from_slice(run);
+                        } else {
+                            for (&x, lane) in run.iter().zip(lanes_of(v.guarded_mask)) {
+                                row[lane as usize] = x;
+                            }
                         }
+                        lanes.write_row(r, v.guarded_mask, &row);
                     }
+                    let port = ports.entry(v.block).or_insert_with(|| {
+                        ChannelPort::new(&channel, launch_index as u64, v.block)
+                    });
                     for inj in &ic.injections[v.pc as usize] {
                         if inj.when != v.when {
                             continue;
                         }
-                        let call_cycles = cost.injected_call
-                            + cost.injected_arg * inj.func.num_runtime_args() as u64;
+                        let call_cycles =
+                            cost.injected_call + cost.injected_arg * inj.num_runtime_args as u64;
                         clock.charge(call_cycles);
                         inj_calls += 1;
                         inj_cycles += call_cycles;
-                        if inj.func.is_shadow() {
+                        if inj.is_shadow {
                             shadow_calls += 1;
                             shadow_cycles += call_cycles;
-                        } else if inj.func.is_coach() {
+                        } else if inj.is_coach {
                             coach_calls += 1;
                             coach_cycles += call_cycles;
                         }
-                        let port = ports.entry(v.block).or_insert_with(|| {
-                            ChannelPort::new(&channel, launch_index as u64, v.block)
-                        });
                         let mut ctx = InjectionCtx {
                             kernel_name: &kernel.name,
                             launch_id: launch_index as u64,

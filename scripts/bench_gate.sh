@@ -43,6 +43,10 @@
 #             committed value is machine-dependent in a way the paper's
 #             replay/inject ratios are not.
 #
+# Every ratio line also prints the absolute ns/iter of its numerator and
+# denominator, so a moved denominator (a faster plain launch raising
+# every slowdown ratio) shows in the log.
+#
 # Usage: scripts/bench_gate.sh
 # Env:   CRITERION_BUDGET_MS  per-benchmark measurement budget
 #                             (default 2000 here; the shim's own default
@@ -89,7 +93,7 @@ rr=$(fresh_ns "$OUT_DIR/trace.out" record-plus-replay-4-configs)
 [ -n "$full" ] && [ -n "$rr" ] || { echo "FAIL: could not parse trace_replay output"; exit 1; }
 fresh_speedup=$(ratio "$full" "$rr")
 want_speedup=$(committed BENCH_trace.json record-plus-replay-vs-full-resim)
-echo "record-plus-replay speedup: fresh ${fresh_speedup}x, committed ${want_speedup}x"
+echo "record-plus-replay speedup: fresh ${fresh_speedup}x (${full} / ${rr} ns/iter), committed ${want_speedup}x"
 if ! awk -v f="$fresh_speedup" -v c="$want_speedup" -v t="$TOLERANCE" \
         'BEGIN { exit !(f >= c * t) }'; then
     flag_regression "trace replay speedup regressed" "${fresh_speedup}x" "${want_speedup}x" \
@@ -106,7 +110,7 @@ campaign=$(fresh_ns "$OUT_DIR/inject.out" campaign-16-trials-detector)
 per_trial=$(awk -v c="$campaign" 'BEGIN { printf "%.1f", c / 16 }')
 fresh_ratio=$(ratio "$per_trial" "$plain")
 want_ratio=$(committed BENCH_inject.json per-trial-in-16-trial-campaign-vs-plain-run)
-echo "amortized per-trial ratio: fresh ${fresh_ratio}x, committed ${want_ratio}x"
+echo "amortized per-trial ratio: fresh ${fresh_ratio}x (${per_trial} / ${plain} ns/iter), committed ${want_ratio}x"
 if ! awk -v f="$fresh_ratio" -v c="$want_ratio" -v t="$TOLERANCE" \
         'BEGIN { exit !(f <= c / t) }'; then
     flag_regression "inject per-trial overhead regressed" "${fresh_ratio}x" "${want_ratio}x" \
@@ -124,7 +128,7 @@ sfull=$(fresh_ns "$OUT_DIR/shadow.out" shadow-full-fp32)
     || { echo "FAIL: could not parse shadow_overhead output"; exit 1; }
 fresh_disabled=$(ratio "$disabled" "$plain32")
 want_disabled=$(committed BENCH_shadow.json shadow-disabled-vs-plain)
-echo "shadow disabled-mode ratio: fresh ${fresh_disabled}x, committed ${want_disabled}x"
+echo "shadow disabled-mode ratio: fresh ${fresh_disabled}x (${disabled} / ${plain32} ns/iter), committed ${want_disabled}x"
 if ! awk -v f="$fresh_disabled" -v c="$want_disabled" -v t="$TOLERANCE" \
         'BEGIN { exit !(f <= c / t) }'; then
     flag_regression "shadow disabled-mode overhead regressed (must stay within noise of plain)" \
@@ -132,7 +136,7 @@ if ! awk -v f="$fresh_disabled" -v c="$want_disabled" -v t="$TOLERANCE" \
 fi
 fresh_full=$(ratio "$sfull" "$plain32")
 want_full=$(committed BENCH_shadow.json full-shadow-slowdown)
-echo "full-shadow slowdown: fresh ${fresh_full}x, committed ${want_full}x"
+echo "full-shadow slowdown: fresh ${fresh_full}x (${sfull} / ${plain32} ns/iter), committed ${want_full}x"
 if ! awk -v f="$fresh_full" -v c="$want_full" -v t="$TOLERANCE" \
         'BEGIN { exit !(f <= c / t) }'; then
     flag_regression "full-shadow slowdown regressed" "${fresh_full}x" "${want_full}x" \
@@ -150,7 +154,7 @@ for tool in detector analyzer binfpe; do
     [ -n "$inst" ] || { echo "FAIL: could not parse hotpath output"; exit 1; }
     fresh_slow=$(ratio "$inst" "$hp_plain")
     want_slow=$(committed BENCH_hotpath.json "${tool}-hotpath-slowdown")
-    echo "${tool} hot-path slowdown: fresh ${fresh_slow}x, committed ${want_slow}x"
+    echo "${tool} hot-path slowdown: fresh ${fresh_slow}x (${inst} / ${hp_plain} ns/iter), committed ${want_slow}x"
     if ! awk -v f="$fresh_slow" -v c="$want_slow" -v t="$TOLERANCE" \
             'BEGIN { exit !(f <= c / t) }'; then
         flag_regression "${tool} hot-path slowdown regressed" "${fresh_slow}x" "${want_slow}x" \
@@ -167,7 +171,7 @@ co_coach=$(fresh_ns "$OUT_DIR/coach.out" coach-observe)
 [ -n "$co_plain" ] && [ -n "$co_coach" ] || { echo "FAIL: could not parse coach_timeline output"; exit 1; }
 fresh_coach=$(ratio "$co_coach" "$co_plain")
 want_coach=$(committed BENCH_coach.json coach-timeline-slowdown)
-echo "coach timeline slowdown: fresh ${fresh_coach}x, committed ${want_coach}x"
+echo "coach timeline slowdown: fresh ${fresh_coach}x (${co_coach} / ${co_plain} ns/iter), committed ${want_coach}x"
 if ! awk -v f="$fresh_coach" -v c="$want_coach" -v t="$TOLERANCE" \
         'BEGIN { exit !(f <= c / t) }'; then
     flag_regression "coach timeline slowdown regressed" "${fresh_coach}x" "${want_coach}x" \
@@ -185,7 +189,7 @@ sc_enabled=$(fresh_ns "$OUT_DIR/scope.out" observe-enabled-4096)
     || { echo "FAIL: could not parse scope_overhead output"; exit 1; }
 fresh_sc_disabled=$(ratio "$sc_disabled" "$sc_plain")
 want_sc_disabled_ceiling=1.02
-echo "scope disabled-handle ratio: fresh ${fresh_sc_disabled}x (absolute ceiling ${want_sc_disabled_ceiling}x," \
+echo "scope disabled-handle ratio: fresh ${fresh_sc_disabled}x (${sc_disabled} / ${sc_plain} ns/iter) (absolute ceiling ${want_sc_disabled_ceiling}x," \
      "committed $(committed BENCH_scope.json scope-disabled-vs-plain)x)"
 if ! awk -v f="$fresh_sc_disabled" -v c="$want_sc_disabled_ceiling" 'BEGIN { exit !(f <= c) }'; then
     flag_regression "scope disabled-handle observation is no longer free" \
@@ -193,7 +197,7 @@ if ! awk -v f="$fresh_sc_disabled" -v c="$want_sc_disabled_ceiling" 'BEGIN { exi
 fi
 fresh_sc_enabled=$(ratio "$sc_enabled" "$sc_plain")
 want_sc_enabled=$(committed BENCH_scope.json scope-enabled-vs-plain)
-echo "scope enabled-registry ratio: fresh ${fresh_sc_enabled}x, committed ${want_sc_enabled}x"
+echo "scope enabled-registry ratio: fresh ${fresh_sc_enabled}x (${sc_enabled} / ${sc_plain} ns/iter), committed ${want_sc_enabled}x"
 if ! awk -v f="$fresh_sc_enabled" -v c="$want_sc_enabled" -v t="$TOLERANCE" \
         'BEGIN { exit !(f <= c / t) }'; then
     flag_regression "scope enabled-registry overhead regressed" "${fresh_sc_enabled}x" "${want_sc_enabled}x" \
@@ -209,7 +213,7 @@ hit=$(fresh_ns "$OUT_DIR/serve.out" hit-4-jobs-4-workers)
 [ -n "$miss" ] && [ -n "$hit" ] || { echo "FAIL: could not parse serve_load output"; exit 1; }
 fresh_hit_speedup=$(ratio "$miss" "$hit")
 want_hit_floor=10
-echo "cache-hit vs cache-miss throughput: fresh ${fresh_hit_speedup}x (acceptance floor ${want_hit_floor}x," \
+echo "cache-hit vs cache-miss throughput: fresh ${fresh_hit_speedup}x (${miss} / ${hit} ns/iter) (acceptance floor ${want_hit_floor}x," \
      "committed $(committed BENCH_serve.json cache-hit-vs-miss-throughput)x)"
 if ! awk -v f="$fresh_hit_speedup" -v c="$want_hit_floor" 'BEGIN { exit !(f >= c) }'; then
     flag_regression "serve cache-hit speedup fell below the acceptance floor" \
